@@ -1,7 +1,6 @@
 #include "core/apriori_index.h"
 
 #include <algorithm>
-#include <map>
 
 #include "core/counting.h"
 #include "kvstore/spillable.h"
@@ -62,36 +61,64 @@ uint64_t FrequencyOfList(const PostingList& list, FrequencyMode mode) {
 // ------------------------------------------------------------- phase 1 --
 
 /// Mapper #1: per-document positional aggregation of k-grams.
-class IndexScanMapper final
-    : public mr::Mapper<uint64_t, Fragment, TermSequence, Posting> {
+///
+/// Runs raw over the serialized input row, like AprioriScanMapper: term ids
+/// come from one FragmentCursor scan, and every k-gram key is a sub-slice
+/// of the input bytes. Local aggregation (Algorithm 3 Mapper #1) groups the
+/// row's equal windows by sorting their start indices in a reused buffer —
+/// by term sequence, then by start — so each group lists its positions in
+/// ascending order; each group emits one Serde<Posting> value assembled in
+/// place.
+class IndexScanMapper final : public mr::RawMapper<TermSequence, Posting> {
  public:
   IndexScanMapper(const NgramJobOptions& options, uint32_t k,
                   std::shared_ptr<const UnigramFrequencies> unigram_cf)
       : options_(options), k_(k), unigram_cf_(std::move(unigram_cf)) {}
 
-  Status Map(const uint64_t& doc_id, const Fragment& fragment,
-             Context* ctx) override {
-    // Local aggregation (Algorithm 3 Mapper #1): collect positions per
-    // k-gram within this fragment, then emit one posting each.
-    positions_.clear();
-    ForEachPiece(fragment, options_.document_splits, *unigram_cf_,
-                 options_.tau, [&](const Fragment& piece) {
-                   const auto& terms = piece.terms;
-                   if (terms.size() < k_) {
-                     return;
-                   }
-                   TermSequence kgram;
-                   for (size_t b = 0; b + k_ <= terms.size(); ++b) {
-                     kgram.assign(terms.begin() + b, terms.begin() + b + k_);
-                     positions_[kgram].push_back(piece.base +
-                                                 static_cast<uint32_t>(b));
-                   }
-                 });
-    for (auto& [kgram, pos] : positions_) {
-      Posting posting;
-      posting.doc_id = doc_id;
-      posting.positions = std::move(pos);
-      NGRAM_RETURN_NOT_OK(ctx->Emit(kgram, posting));
+  Status Map(Slice key, Slice value, Context* ctx) override {
+    if (!cursor_.Parse(key, value)) {
+      return Status::Corruption("IndexScanMapper: bad input row");
+    }
+    starts_.clear();
+    ForEachPieceRange(cursor_.terms(), options_.document_splits,
+                      *unigram_cf_, options_.tau, [&](size_t pb, size_t pe) {
+                        for (size_t b = pb; b + k_ <= pe; ++b) {
+                          starts_.push_back(static_cast<uint32_t>(b));
+                        }
+                      });
+    const TermId* terms = cursor_.terms().data();
+    const uint32_t k = k_;
+    // Three-way comparison of the windows starting at a and b.
+    auto compare = [terms, k](uint32_t a, uint32_t b) {
+      for (uint32_t i = 0; i < k; ++i) {
+        if (terms[a + i] != terms[b + i]) {
+          return terms[a + i] < terms[b + i] ? -1 : 1;
+        }
+      }
+      return 0;
+    };
+    std::sort(starts_.begin(), starts_.end(), [&](uint32_t a, uint32_t b) {
+      const int c = compare(a, b);
+      return c != 0 ? c < 0 : a < b;
+    });
+    for (size_t i = 0; i < starts_.size();) {
+      size_t end = i + 1;
+      while (end < starts_.size() && compare(starts_[i], starts_[end]) == 0) {
+        ++end;
+      }
+      // Serde<Posting> wire form: [doc id][count][position deltas].
+      value_.clear();
+      PutVarint64(&value_, cursor_.doc_id());
+      PutVarint64(&value_, end - i);
+      uint32_t prev = 0;
+      for (size_t g = i; g < end; ++g) {
+        const uint32_t position = cursor_.base() + starts_[g];
+        PutVarint32(&value_, position - prev);
+        prev = position;
+      }
+      NGRAM_RETURN_NOT_OK(
+          ctx->EmitRaw(cursor_.Range(starts_[i], starts_[i] + k_), value_));
+      i = end;
     }
     return Status::OK();
   }
@@ -100,53 +127,48 @@ class IndexScanMapper final
   const NgramJobOptions options_;
   const uint32_t k_;
   const std::shared_ptr<const UnigramFrequencies> unigram_cf_;
-  std::map<TermSequence, std::vector<uint32_t>> positions_;
+  FragmentCursor cursor_;
+  std::vector<uint32_t> starts_;  // Window starts of the row; reused.
+  std::string value_;             // Reused across groups.
 };
 
 /// Reducer #1: assembles the posting list of a k-gram; emits it when
 /// frequent. Multiple fragments of one document produce multiple postings
 /// with the same doc id — they are merged.
+///
+/// Runs raw: the group's posting slices stream into a reused
+/// PostingListBuilder, the frequency comes from its counts (an infrequent
+/// k-gram is dropped without encoding anything), and a frequent one
+/// re-emits the group's key bytes verbatim — the key is never decoded
+/// (sound for the same reason as in CountReducer).
 class IndexBuildReducer final
-    : public mr::Reducer<TermSequence, Posting, TermSequence, PostingList> {
+    : public mr::RawReducer<TermSequence, PostingList> {
  public:
   IndexBuildReducer(uint64_t tau, FrequencyMode mode)
       : tau_(tau), mode_(mode) {}
 
-  Status Reduce(const TermSequence& key, Values* values,
-                Context* ctx) override {
-    std::vector<Posting> postings;
-    Posting p;
-    while (values->Next(&p)) {
-      postings.push_back(std::move(p));
+  Status Reduce(mr::GroupValueIterator* group, Context* ctx) override {
+    builder_.Clear();
+    while (group->NextValue()) {
+      NGRAM_RETURN_NOT_OK(builder_.Add(group->value()));
     }
-    std::sort(postings.begin(), postings.end(),
-              [](const Posting& a, const Posting& b) {
-                if (a.doc_id != b.doc_id) {
-                  return a.doc_id < b.doc_id;
-                }
-                return a.positions < b.positions;
-              });
-    PostingList list;
-    for (auto& posting : postings) {
-      if (!list.postings.empty() &&
-          list.postings.back().doc_id == posting.doc_id) {
-        auto& dst = list.postings.back().positions;
-        dst.insert(dst.end(), posting.positions.begin(),
-                   posting.positions.end());
-        std::sort(dst.begin(), dst.end());
-      } else {
-        list.postings.push_back(std::move(posting));
-      }
+    builder_.Finish();
+    const uint64_t frequency = mode_ == FrequencyMode::kCollection
+                                   ? builder_.TotalOccurrences()
+                                   : builder_.DocumentFrequency();
+    if (frequency < tau_) {
+      return Status::OK();
     }
-    if (FrequencyOfList(list, mode_) >= tau_) {
-      return ctx->Emit(key, std::move(list));
-    }
-    return Status::OK();
+    list_.clear();
+    builder_.EncodeTo(&list_);
+    return ctx->EmitRaw(group->key(), list_);
   }
 
  private:
   const uint64_t tau_;
   const FrequencyMode mode_;
+  PostingListBuilder builder_;  // Reused across groups.
+  std::string list_;            // Reused across groups.
 };
 
 // ------------------------------------------------------------- phase 2 --
@@ -198,15 +220,16 @@ class IndexJoinReducer final
     : public mr::Reducer<TermSequence, TaggedPostings, TermSequence,
                          PostingList> {
  public:
-  IndexJoinReducer(const NgramJobOptions& options, std::string spill_dir,
+  IndexJoinReducer(const NgramJobOptions& options, std::string spill_prefix,
                    uint32_t k)
-      : options_(options), spill_dir_(std::move(spill_dir)), k_(k) {}
+      : options_(options), spill_prefix_(std::move(spill_prefix)), k_(k) {}
 
   Status Reduce(const TermSequence& key, Values* values,
                 Context* ctx) override {
     // Separate buffers for the two sides; each holds (k-1)-grams with
-    // posting lists and may exceed memory.
-    const std::string base = spill_dir_ + "/r" +
+    // posting lists and may exceed memory. Each spills to a directory of
+    // its own, deleted when the buffer goes out of scope.
+    const std::string base = spill_prefix_ + "-r" +
                              std::to_string(ctx->reducer_id()) + "-g" +
                              std::to_string(group_seq_++);
     kv::SpillableVector<TaggedPostings> left(
@@ -241,16 +264,18 @@ class IndexJoinReducer final
 
  private:
   const NgramJobOptions options_;
-  const std::string spill_dir_;
+  const std::string spill_prefix_;
   const uint32_t k_;
   uint64_t group_seq_ = 0;
 };
 
-}  // namespace
-
-Result<AprioriIndexResult> RunAprioriIndexWithIndex(
-    const CorpusContext& ctx, const NgramJobOptions& options) {
-  AprioriIndexResult result;
+/// Runs both phases. Every round's output is drained once into the
+/// statistics, with frequencies read off the posting lists' counts; the
+/// lists are decoded only into `index`, when one is asked for.
+Result<NgramRun> RunRounds(const CorpusContext& ctx,
+                           const NgramJobOptions& options,
+                           PositionalIndex* index) {
+  NgramRun run;
   const uint32_t sigma = options.sigma_or_max();
   const uint32_t cap_k = std::max<uint32_t>(1, options.apriori_index_k);
 
@@ -267,24 +292,30 @@ Result<AprioriIndexResult> RunAprioriIndexWithIndex(
   }
 
   // Rounds chain serialized: round k's reducer output feeds round k+1's
-  // mappers as slices. The typed decode below happens once per round,
-  // only to fold frequent k-grams into the run's stats and the returned
-  // index — never to re-encode for the next job.
+  // mappers as slices, never re-encoded for the next job.
   mr::RecordTable previous;
 
-  // Decodes one round's serialized output into stats + index.
   auto drain_round = [&](const mr::RecordTable& output) -> Status {
     auto reader = output.NewReader();
-    TermSequence seq;
-    PostingList list;
     while (reader->Next()) {
+      TermSequence seq;
+      uint64_t documents = 0, occurrences = 0;
       if (!Serde<TermSequence>::Decode(reader->key(), &seq) ||
-          !Serde<PostingList>::Decode(reader->value(), &list)) {
+          !ReadPostingListCounts(reader->value(), &documents,
+                                 &occurrences)) {
         return Status::Corruption("apriori-index: bad (k-gram, postings)");
       }
-      result.run.stats.Add(seq,
-                           FrequencyOfList(list, options.frequency_mode));
-      result.index.Add(seq, list);
+      if (index != nullptr) {
+        PostingList list;
+        if (!Serde<PostingList>::Decode(reader->value(), &list)) {
+          return Status::Corruption("apriori-index: bad posting list");
+        }
+        index->Add(seq, std::move(list));
+      }
+      run.stats.Add(std::move(seq),
+                    options.frequency_mode == FrequencyMode::kCollection
+                        ? occurrences
+                        : documents);
     }
     return reader->status();
   };
@@ -309,9 +340,9 @@ Result<AprioriIndexResult> RunAprioriIndexWithIndex(
     if (!metrics.ok()) {
       return metrics.status();
     }
-    result.run.metrics.Add(std::move(metrics).ValueOrDie());
+    run.metrics.Add(std::move(metrics).ValueOrDie());
     if (output.empty()) {
-      return result;  // Nothing frequent at this length: done.
+      return run;  // Nothing frequent at this length: done.
     }
     NGRAM_RETURN_NOT_OK(drain_round(output));
     previous = std::move(output);
@@ -319,37 +350,46 @@ Result<AprioriIndexResult> RunAprioriIndexWithIndex(
 
   // ----- Phase 2: k = K+1 .. sigma, joining posting lists.
   for (uint32_t k = phase1_end + 1; k <= sigma; ++k) {
-    const std::string spill_dir =
+    const std::string spill_prefix =
         spill_root + "/join-k" + std::to_string(k);
     mr::JobConfig config =
         MakeBaseJobConfig(options, "apriori-index-join-k" + std::to_string(k));
     mr::RecordTable output;
     auto metrics = mr::RunJob<IndexJoinMapper, IndexJoinReducer>(
         config, previous, [] { return std::make_unique<IndexJoinMapper>(); },
-        [&options, &spill_dir, k] {
-          return std::make_unique<IndexJoinReducer>(options, spill_dir, k);
+        [&options, &spill_prefix, k] {
+          return std::make_unique<IndexJoinReducer>(options, spill_prefix, k);
         },
         &output);
     if (!metrics.ok()) {
       return metrics.status();
     }
-    result.run.metrics.Add(std::move(metrics).ValueOrDie());
+    run.metrics.Add(std::move(metrics).ValueOrDie());
     if (output.empty()) {
       break;
     }
     NGRAM_RETURN_NOT_OK(drain_round(output));
     previous = std::move(output);
   }
+  return run;
+}
+
+}  // namespace
+
+Result<AprioriIndexResult> RunAprioriIndexWithIndex(
+    const CorpusContext& ctx, const NgramJobOptions& options) {
+  AprioriIndexResult result;
+  auto run = RunRounds(ctx, options, &result.index);
+  if (!run.ok()) {
+    return run.status();
+  }
+  result.run = std::move(run).ValueOrDie();
   return result;
 }
 
 Result<NgramRun> RunAprioriIndex(const CorpusContext& ctx,
                                  const NgramJobOptions& options) {
-  auto result = RunAprioriIndexWithIndex(ctx, options);
-  if (!result.ok()) {
-    return result.status();
-  }
-  return std::move(result.ValueOrDie().run);
+  return RunRounds(ctx, options, /*index=*/nullptr);
 }
 
 }  // namespace ngram

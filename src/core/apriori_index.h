@@ -4,6 +4,12 @@
 // Phase 1 (k <= K): one job per k scans the input; Mapper #1 aggregates
 // per-document positions locally and emits one (k-gram, posting) pair per
 // document, Reducer #1 assembles posting lists and keeps frequent k-grams.
+// Both run raw. The mapper reads each serialized sentence row through a
+// FragmentCursor: its k-gram keys are sub-slices of the input bytes, and it
+// groups the row's equal windows by sorting their start indices in reused
+// buffers. The reducer streams posting slices into a PostingListBuilder,
+// takes the frequency from its counts, and re-emits a frequent k-gram's key
+// bytes beside the built list. No k-gram or posting is decoded.
 //
 // Phase 2 (k > K): one job per k over the previous iteration's output.
 // Mapper #2 emits every frequent (k-1)-gram twice — keyed by its prefix
@@ -12,7 +18,11 @@
 // positionally to form the k-gram m || last(n). Buffered posting lists
 // migrate to the disk KV store past the reducer memory budget (Section V).
 //
-// Besides the statistics, the run yields the positional index itself.
+// Rounds chain serialized, and each round's output is drained once: every
+// frequent n-gram's key is decoded into the statistics, with its frequency
+// read off the posting list's counts. RunAprioriIndex stops there;
+// RunAprioriIndexWithIndex also decodes every list into the positional
+// index it returns.
 #pragma once
 
 #include "core/input.h"
@@ -37,7 +47,8 @@ struct AprioriIndexResult {
 Result<AprioriIndexResult> RunAprioriIndexWithIndex(
     const CorpusContext& ctx, const NgramJobOptions& options);
 
-/// Statistics-only entry point (symmetric with the other methods).
+/// Statistics-only entry point (symmetric with the other methods): builds
+/// no index and decodes no position.
 Result<NgramRun> RunAprioriIndex(const CorpusContext& ctx,
                                  const NgramJobOptions& options);
 

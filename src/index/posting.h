@@ -11,6 +11,7 @@
 #include "encoding/serde.h"
 #include "encoding/varint.h"
 #include "util/slice.h"
+#include "util/status.h"
 
 namespace ngram {
 
@@ -83,6 +84,60 @@ struct Serde<Posting> {
     return in.empty();
   }
 };
+
+/// \brief Assembles one n-gram's posting list straight from a stream of
+/// Serde<Posting>-encoded values and appends its Serde<PostingList>
+/// encoding — no Posting or PostingList is materialized.
+///
+/// APRIORI-INDEX phase 1 feeds a reduce group here. Values normally arrive
+/// in (doc, position) order (input rows are in document order and merge
+/// ties break by map task), so the builder just concatenates the postings
+/// of one document into reused flat buffers. It never assumes that order:
+/// any out-of-order value makes Finish() sort and merge, whose result —
+/// per document, the sorted union of every posting's positions — is the
+/// same either way. Buffers are reused across Clear() calls.
+class PostingListBuilder {
+ public:
+  /// Starts a new list.
+  void Clear();
+
+  /// Adds one Serde<Posting> value; Corruption on a truncated or overlong
+  /// one (the list is then garbage until the next Clear()).
+  Status Add(Slice posting);
+
+  /// Call after the last Add(): sorts and merges the list if the values
+  /// arrived out of order. The accessors below require it.
+  void Finish();
+
+  /// Collection frequency: occurrences across all documents.
+  uint64_t TotalOccurrences() const { return positions_.size(); }
+  /// Document frequency: documents with a posting.
+  uint64_t DocumentFrequency() const { return docs_.size(); }
+
+  /// Appends the Serde<PostingList> encoding of the list to `out`.
+  void EncodeTo(std::string* out) const;
+
+ private:
+  /// One document's positions: positions_[begin, end).
+  struct DocRange {
+    uint64_t doc_id;
+    size_t begin;
+    size_t end;
+  };
+
+  std::vector<DocRange> docs_;
+  std::vector<uint32_t> positions_;
+  bool in_order_ = true;
+  // Sort-and-merge scratch, reused across lists.
+  std::vector<DocRange> sorted_docs_;
+  std::vector<uint32_t> sorted_positions_;
+};
+
+/// Reads the document count and total occurrence count of a
+/// Serde<PostingList> encoding, skipping the positions without storing
+/// them. Returns false on malformed input.
+bool ReadPostingListCounts(Slice list, uint64_t* documents,
+                           uint64_t* occurrences);
 
 template <>
 struct Serde<PostingList> {

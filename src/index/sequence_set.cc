@@ -20,7 +20,12 @@ SequenceSet::SequenceSet(Options options) : options_(std::move(options)) {
   tags_.assign(kInitialBuckets, 0);
 }
 
-SequenceSet::~SequenceSet() = default;
+SequenceSet::~SequenceSet() {
+  if (store_ != nullptr) {
+    store_.reset();
+    kv::KVStore::Destroy(options_.spill_dir);
+  }
+}
 
 size_t SequenceSet::MemoryBytes() const {
   return arena_.size() + buckets_.size() * sizeof(uint64_t) + tags_.size();
@@ -78,7 +83,7 @@ void SequenceSet::GrowBuckets() {
 }
 
 Status SequenceSet::SpillToStore() {
-  auto opened = kv::KVStore::Open(options_.spill_dir);
+  auto opened = kv::KVStore::OpenEmpty(options_.spill_dir);
   if (!opened.ok()) {
     return opened.status();
   }

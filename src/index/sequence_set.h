@@ -31,6 +31,7 @@ class SequenceSet {
     /// never spills.
     size_t memory_budget_bytes = SIZE_MAX;
     /// Directory for the spill KV store (required if spilling can happen).
+    /// The spill starts it empty; the set deletes it when destroyed.
     std::string spill_dir;
   };
 

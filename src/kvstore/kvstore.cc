@@ -64,6 +64,22 @@ Result<std::unique_ptr<KVStore>> KVStore::Open(const std::string& dir,
   return store;
 }
 
+Result<std::unique_ptr<KVStore>> KVStore::OpenEmpty(const std::string& dir,
+                                                    KVStoreOptions options) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  if (ec) {
+    return Status::IOError("cannot clear KV dir " + dir + ": " +
+                           ec.message());
+  }
+  return Open(dir, std::move(options));
+}
+
+void KVStore::Destroy(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);  // Best effort.
+}
+
 Status KVStore::OpenSegments() {
   // Collect existing segment files in id order.
   std::vector<std::filesystem::path> files;

@@ -64,6 +64,16 @@ class KVStore {
   static Result<std::unique_ptr<KVStore>> Open(const std::string& dir,
                                                KVStoreOptions options = {});
 
+  /// Opens an empty store at `dir`, deleting whatever `dir` held first:
+  /// scratch stores (spilled reducer state) must never replay segments an
+  /// earlier run left under the same name.
+  static Result<std::unique_ptr<KVStore>> OpenEmpty(
+      const std::string& dir, KVStoreOptions options = {});
+
+  /// Deletes store directory `dir` and everything in it, best effort.
+  /// Close any store open on it first.
+  static void Destroy(const std::string& dir);
+
   ~KVStore();
   NGRAM_DISALLOW_COPY_AND_ASSIGN(KVStore);
 

@@ -11,6 +11,7 @@
 #include "encoding/serde.h"
 #include "kvstore/kvstore.h"
 #include "util/logging.h"
+#include "util/macros.h"
 #include "util/result.h"
 
 namespace ngram::kv {
@@ -25,12 +26,16 @@ namespace ngram::kv {
 template <typename T>
 class SpillableVector {
  public:
-  /// `store_dir` is only touched if a spill actually happens.
+  /// `store_dir` is only touched if a spill actually happens. The spill
+  /// starts it empty, and Clear() or destruction deletes it.
   SpillableVector(std::string store_dir, size_t memory_budget_bytes,
                   KVStoreOptions kv_options = {})
       : store_dir_(std::move(store_dir)),
         memory_budget_bytes_(memory_budget_bytes),
         kv_options_(kv_options) {}
+  ~SpillableVector() { Clear(); }
+
+  NGRAM_DISALLOW_COPY_AND_ASSIGN(SpillableVector);
 
   Status Append(const T& item) {
     std::string encoded;
@@ -95,7 +100,10 @@ class SpillableVector {
     in_memory_.clear();
     memory_bytes_ = 0;
     size_ = 0;
-    store_.reset();  // Segments are removed with the spill directory.
+    if (store_ != nullptr) {
+      store_.reset();
+      KVStore::Destroy(store_dir_);
+    }
   }
 
  private:
@@ -113,7 +121,7 @@ class SpillableVector {
     if (store_ != nullptr) {
       return Status::OK();
     }
-    auto opened = KVStore::Open(store_dir_, kv_options_);
+    auto opened = KVStore::OpenEmpty(store_dir_, kv_options_);
     if (!opened.ok()) {
       return opened.status();
     }

@@ -2,6 +2,8 @@
 // method-specific cost properties the paper derives analytically.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/apriori_index.h"
 #include "core/apriori_scan.h"
 #include "core/naive.h"
@@ -9,6 +11,7 @@
 #include "core/suffix_sigma.h"
 #include "corpus/running_example.h"
 #include "testing/test_util.h"
+#include "util/temp_dir.h"
 
 namespace ngram {
 namespace {
@@ -197,6 +200,41 @@ TEST(AprioriIndexMethodTest, TinyReducerBudgetSpillsAndStaysCorrect) {
   auto in_memory = RunAprioriIndex(ctx, options);
   ASSERT_TRUE(in_memory.ok());
   EXPECT_TRUE(spilled->stats.SameAs(in_memory->stats));
+}
+
+TEST(AprioriMethodsTest, RerunInOneWorkDirStartsFreshAndLeavesItEmpty) {
+  // Both APRIORI methods spill reducer-side state (APRIORI-SCAN's
+  // dictionary, APRIORI-INDEX's join buffers) to KV stores under
+  // work_dir. A rerun in the same work_dir must see none of the first
+  // run's stores, and no run may leave its own behind.
+  const Corpus corpus = testing::RandomCorpus(11, 40, 5, 3, 10);
+  const CorpusContext ctx = BuildCorpusContext(corpus);
+  auto dir = TempDir::Create("apriori-work-dir");
+  ASSERT_TRUE(dir.ok());
+  for (Method method : {Method::kAprioriScan, Method::kAprioriIndex}) {
+    NgramJobOptions options = TestOptions(method, 2, 5);
+    options.apriori_index_k = 2;
+    options.reducer_memory_budget_bytes = 128;  // Force KV-store spill.
+    options.work_dir = dir->path().string();
+    std::vector<NgramRun> runs;
+    for (int i = 0; i < 2; ++i) {
+      auto run = ComputeNgramStatistics(ctx, options);
+      ASSERT_TRUE(run.ok()) << MethodName(method) << ": "
+                            << run.status().ToString();
+      EXPECT_TRUE(std::filesystem::is_empty(dir->path()))
+          << MethodName(method) << " run " << i << " left files behind";
+      runs.push_back(std::move(run).ValueOrDie());
+    }
+    EXPECT_TRUE(runs[0].stats.SameAs(runs[1].stats)) << MethodName(method);
+    ASSERT_EQ(runs[0].metrics.jobs.size(), runs[1].metrics.jobs.size());
+    for (size_t j = 0; j < runs[0].metrics.jobs.size(); ++j) {
+      auto first = runs[0].metrics.jobs[j].counters;
+      auto second = runs[1].metrics.jobs[j].counters;
+      first.erase(mr::kBarrierWaitMs);  // Wallclock, not data.
+      second.erase(mr::kBarrierWaitMs);
+      EXPECT_EQ(first, second) << MethodName(method) << " job " << j;
+    }
+  }
 }
 
 TEST(MethodsTest, EmptyCorpusYieldsEmptyStats) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 
 #include "util/random.h"
@@ -114,6 +115,33 @@ TEST(SequenceSetTest, InsertAfterSpillDeduplicates) {
   const uint64_t before = set.size();
   ASSERT_TRUE(set.InsertSequence({5}).ok());  // Already present.
   EXPECT_EQ(set.size(), before);
+}
+
+TEST(SequenceSetTest, SpillIgnoresAStaleStoreAndDeletesItsOwn) {
+  auto dir = TempDir::Create("seqset-test");
+  ASSERT_TRUE(dir.ok());
+  const std::string spill = dir->File("spill");
+  const Slice seven_seven("\x07\x07", 2);  // Encoded <7 7>.
+  {
+    // A store an earlier owner left under the same name.
+    auto stale = kv::KVStore::Open(spill);
+    ASSERT_TRUE(stale.ok());
+    ASSERT_TRUE((*stale)->Put(seven_seven, Slice()).ok());
+  }
+  {
+    SequenceSet::Options options;
+    options.memory_budget_bytes = 256;
+    options.spill_dir = spill;
+    SequenceSet set(options);
+    for (TermId i = 1; i <= 200; ++i) {
+      ASSERT_TRUE(set.InsertSequence({i}).ok());
+    }
+    ASSERT_TRUE(set.spilled());
+    EXPECT_EQ(set.size(), 200u);
+    EXPECT_TRUE(set.Contains(Slice("\x07", 1)));
+    EXPECT_FALSE(set.Contains(seven_seven));
+  }
+  EXPECT_FALSE(std::filesystem::exists(spill));
 }
 
 }  // namespace

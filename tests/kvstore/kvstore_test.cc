@@ -107,6 +107,23 @@ TEST_F(KVStoreTest, ReopenRecoversIndex) {
   EXPECT_FALSE((*reopened)->Contains("doomed"));
 }
 
+TEST_F(KVStoreTest, OpenEmptyDiscardsAnEarlierStoreAndDestroyDeletesIt) {
+  {
+    auto store = KVStore::Open(StorePath());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("stale", "v").ok());
+  }
+  {
+    auto fresh = KVStore::OpenEmpty(StorePath());
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ((*fresh)->size(), 0u);
+    EXPECT_FALSE((*fresh)->Contains("stale"));
+    ASSERT_TRUE((*fresh)->Put("new", "v").ok());
+  }
+  KVStore::Destroy(StorePath());
+  EXPECT_FALSE(std::filesystem::exists(StorePath()));
+}
+
 TEST_F(KVStoreTest, SegmentRollOver) {
   KVStoreOptions options;
   options.max_segment_bytes = 512;  // Force several segments.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "util/temp_dir.h"
 
 namespace ngram::kv {
@@ -101,6 +103,28 @@ TEST_F(SpillableVectorTest, ClearResets) {
   EXPECT_FALSE(vec.spilled());
   ASSERT_TRUE(vec.Append(42).ok());
   EXPECT_EQ(vec.size(), 1u);
+}
+
+TEST_F(SpillableVectorTest, ClearAndDestructionDeleteTheSpillDirectory) {
+  const std::string store = dir_->File("f");
+  {
+    SpillableVector<uint64_t> vec(store, 8);
+    for (uint64_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(vec.Append(i).ok());
+    }
+    ASSERT_TRUE(vec.spilled());
+    EXPECT_TRUE(std::filesystem::exists(store));
+    vec.Clear();
+    EXPECT_FALSE(std::filesystem::exists(store));
+    for (uint64_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(vec.Append(100 + i).ok());
+    }
+    ASSERT_TRUE(vec.spilled());
+    uint64_t v = 0;
+    ASSERT_TRUE(vec.At(3, &v).ok());
+    EXPECT_EQ(v, 103u);
+  }
+  EXPECT_FALSE(std::filesystem::exists(store));
 }
 
 }  // namespace
