@@ -5,7 +5,6 @@
 
 #include <cstring>
 
-#include "encoding/varint.h"
 #include "util/slice.h"
 
 namespace ngram::mr {
@@ -63,33 +62,6 @@ class BytewiseComparator final : public RawComparator {
 
   static const BytewiseComparator* Instance() {
     static const BytewiseComparator kInstance;
-    return &kInstance;
-  }
-};
-
-/// Numeric order over varint-encoded uint64 keys.
-class Varint64Comparator final : public RawComparator {
- public:
-  int Compare(Slice a, Slice b) const override {
-    uint64_t va = 0, vb = 0;
-    GetVarint64(&a, &va);
-    GetVarint64(&b, &vb);
-    if (va < vb) return -1;
-    if (va > vb) return +1;
-    return 0;
-  }
-
-  /// The decoded value itself is the order, so it is an exact prefix.
-  uint64_t SortPrefix(Slice key) const override {
-    uint64_t v = 0;
-    GetVarint64(&key, &v);
-    return v;
-  }
-
-  const char* Name() const override { return "varint64"; }
-
-  static const Varint64Comparator* Instance() {
-    static const Varint64Comparator kInstance;
     return &kInstance;
   }
 };

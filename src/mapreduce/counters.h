@@ -152,16 +152,24 @@ class TaskCounters {
   ~TaskCounters() { Flush(); }
 
   /// Hot path: counter names are almost always the interned constants
-  /// above, so a linear scan with pointer-identity first (strcmp only on
-  /// a pointer miss) over a handful of entries beats any map — and does
-  /// no per-call allocation, unlike a std::string key.
+  /// above, so a pointer-identity scan over a handful of entries beats
+  /// any map — and does no per-call allocation, unlike a std::string key.
+  /// Only when no entry has the same address does a second scan compare
+  /// the text, so equal names at different addresses still share one
+  /// entry.
   ///
   /// `name` must outlive this TaskCounters (it is stored, not copied,
   /// until Flush()): pass string literals or the interned constants, not
   /// a temporary's c_str().
   void Increment(const char* name, uint64_t delta = 1) {
     for (Entry& e : local_) {
-      if (e.name == name || strcmp(e.name, name) == 0) {
+      if (e.name == name) {
+        e.value += delta;
+        return;
+      }
+    }
+    for (Entry& e : local_) {
+      if (strcmp(e.name, name) == 0) {
         e.value += delta;
         return;
       }
@@ -186,6 +194,9 @@ class TaskCounters {
   /// Drops pending increments without publishing them — used for failed
   /// task attempts, whose counters Hadoop likewise discards.
   void DiscardPending() { local_.clear(); }
+
+  /// Distinct counter names holding pending increments.
+  size_t num_pending() const { return local_.size(); }
 
  private:
   struct Entry {

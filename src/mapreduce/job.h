@@ -877,6 +877,7 @@ Result<JobMetrics> RunJob(
             st = reducer->Setup(&rctx);
           }
 
+          uint64_t task_input_groups = 0;
           uint64_t task_input_records = 0;
           bool have_record = st.ok() && merger.Next();
           while (st.ok() && have_record) {
@@ -884,15 +885,16 @@ Result<JobMetrics> RunJob(
             // streams the group zero-copy and detects the boundary on
             // cached key slices — no per-group key copy or decode here.
             GroupValueIterator group(&merger, grouping, grouping_is_sort);
-            tc.Increment(kReduceInputGroups);
+            ++task_input_groups;
             st = reducer->Reduce(&group, &rctx);
             if (st.ok()) {
               group.SkipRemaining();
             }
-            tc.Increment(kReduceInputRecords, group.consumed());
             task_input_records += group.consumed();
             have_record = group.next_group_ready();
           }
+          tc.Increment(kReduceInputGroups, task_input_groups);
+          tc.Increment(kReduceInputRecords, task_input_records);
           if (st.ok() && !merger.status().ok()) {
             st = merger.status();
           }

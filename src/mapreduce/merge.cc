@@ -56,6 +56,7 @@ Status DrainMerger(KWayMerger* merger, const RawCombineFn& combiner,
     return merger->status();
   }
   std::string key_scratch;  // Reused across this stream's groups.
+  uint64_t combine_input_records = 0;
   bool have_record = merger->Next();
   while (st.ok() && have_record) {
     GroupValueIterator group(merger, comparator,
@@ -65,9 +66,10 @@ Status DrainMerger(KWayMerger* merger, const RawCombineFn& combiner,
     if (st.ok()) {
       group.SkipRemaining();
     }
-    counters->Increment(kCombineInputRecords, group.consumed());
+    combine_input_records += group.consumed();
     have_record = group.next_group_ready();
   }
+  counters->Increment(kCombineInputRecords, combine_input_records);
   if (st.ok()) {
     st = merger->status();
   }

@@ -27,6 +27,138 @@ class StringRunSink final : public RecordSink {
   uint64_t num_records_ = 0;
 };
 
+/// A bucket's full sort order: cached prefix, then the comparator on the
+/// arena bytes, then insertion sequence. `seq` is unique within a bucket,
+/// so this is a strict total order — every correct sort of a bucket
+/// yields the same permutation.
+class RefLess {
+ public:
+  RefLess(const char* arena, const RawComparator* cmp)
+      : arena_(arena), cmp_(cmp) {}
+
+  bool operator()(const SortedRecordRef& a, const SortedRecordRef& b) const {
+    if (a.sort_prefix != b.sort_prefix) {
+      return a.sort_prefix < b.sort_prefix;
+    }
+    const int c = CompareKeys(a, b);
+    if (c != 0) {
+      return c < 0;
+    }
+    return a.seq < b.seq;
+  }
+
+  int CompareKeys(const SortedRecordRef& a, const SortedRecordRef& b) const {
+    return cmp_->Compare(Slice(arena_ + a.key_offset, a.key_len),
+                         Slice(arena_ + b.key_offset, b.key_len));
+  }
+
+ private:
+  const char* arena_;
+  const RawComparator* cmp_;
+};
+
+/// In-place MSD radix sort (American-flag sort) under RefLess, one byte of
+/// the cached prefix per pass. Each range is partitioned on the highest
+/// byte in which two of its prefixes differ, so bytes the whole range
+/// shares cost no pass and recursion is at most 8 deep. Small ranges and
+/// ranges whose prefixes are all equal are finished under RefLess itself.
+/// Scratch is a few KiB of stack per level, never a bucket-sized buffer.
+class PrefixRadixSort {
+ public:
+  PrefixRadixSort(const char* arena, const RawComparator* cmp)
+      : less_(arena, cmp) {}
+
+  /// `permuted` is false while [first, last) is still in insertion (seq)
+  /// order, i.e. no pass has moved any of its records.
+  void Sort(SortedRecordRef* first, SortedRecordRef* last,
+            bool permuted) const {
+    const size_t n = static_cast<size_t>(last - first);
+    if (n < 2) {
+      return;
+    }
+    const uint64_t pivot = first->sort_prefix;
+    uint64_t diff = 0;
+    for (const SortedRecordRef* r = first + 1; r != last; ++r) {
+      diff |= r->sort_prefix ^ pivot;
+    }
+    if (diff == 0) {
+      FinishEqualPrefix(first, last, permuted);
+      return;
+    }
+    if (n < SortBuffer::kRadixSortMinRecords) {
+      std::sort(first, last, less_);
+      return;
+    }
+    // The highest byte in which two prefixes differ (diff != 0 here).
+    const int shift = 56 - (__builtin_clzll(diff) & ~7);
+    auto digit = [shift](const SortedRecordRef& r) {
+      return static_cast<unsigned>(r.sort_prefix >> shift) & 0xffu;
+    };
+    uint32_t end[256] = {};  // Counts, then each digit's end offset.
+    for (const SortedRecordRef* r = first; r != last; ++r) {
+      ++end[digit(*r)];
+    }
+    uint32_t next[256];  // Each digit's next unfilled slot.
+    uint32_t sum = 0;
+    for (unsigned d = 0; d < 256; ++d) {
+      next[d] = sum;
+      sum += end[d];
+      end[d] = sum;
+    }
+    // Cycle every misplaced record into its digit's next slot.
+    bool moved = false;
+    for (unsigned d = 0; d < 256; ++d) {
+      while (next[d] != end[d]) {
+        SortedRecordRef r = first[next[d]];
+        unsigned rd = digit(r);
+        if (rd != d) {
+          moved = true;
+          do {
+            std::swap(r, first[next[rd]++]);
+            rd = digit(r);
+          } while (rd != d);
+          first[next[d]] = r;
+        }
+        ++next[d];
+      }
+    }
+    uint32_t begin = 0;
+    for (unsigned d = 0; d < 256; ++d) {
+      Sort(first + begin, first + end[d], permuted || moved);
+      begin = end[d];
+    }
+  }
+
+ private:
+  /// Finishes a range whose prefixes are all equal. Two kinds occur:
+  /// byte-equal duplicates (a frequent key), which need only their seq
+  /// order back — one pass of adjacent compares proves the keys equal,
+  /// then an integer sort restores it without n·log n key compares — and
+  /// distinct keys sharing a prefix, which take the comparator sort.
+  void FinishEqualPrefix(SortedRecordRef* first, SortedRecordRef* last,
+                         bool permuted) const {
+    if (!permuted) {
+      // Already in seq order: one pass proves whether it is sorted.
+      if (std::is_sorted(first, last, less_)) {
+        return;
+      }
+    } else if (std::adjacent_find(first, last,
+                                  [this](const SortedRecordRef& a,
+                                         const SortedRecordRef& b) {
+                                    return less_.CompareKeys(a, b) != 0;
+                                  }) == last) {
+      std::sort(first, last,
+                [](const SortedRecordRef& a, const SortedRecordRef& b) {
+                  return a.seq < b.seq;
+                });
+      return;
+    }
+    std::sort(first, last, less_);
+  }
+
+  const RefLess less_;
+};
+
 }  // namespace
 
 /// Zero-copy group iterator over one sorted bucket: advances while the
@@ -140,27 +272,10 @@ Status SortBuffer::Add(uint32_t partition, Slice key, Slice value) {
 }
 
 void SortBuffer::SortBuckets() {
-  const RawComparator* cmp = options_.comparator;
   for (Bucket& bucket : buckets_) {
-    if (bucket.refs.size() < 2) {
-      continue;
-    }
-    const char* arena = bucket.arena.data();
-    // Plain sort + insertion-sequence tie-break == stable sort, without
-    // stable_sort's merge passes and temp-buffer allocation.
-    std::sort(bucket.refs.begin(), bucket.refs.end(),
-              [cmp, arena](const RecordRef& a, const RecordRef& b) {
-                if (a.sort_prefix != b.sort_prefix) {
-                  return a.sort_prefix < b.sort_prefix;
-                }
-                const int c = cmp->Compare(
-                    Slice(arena + a.key_offset, a.key_len),
-                    Slice(arena + b.key_offset, b.key_len));
-                if (c != 0) {
-                  return c < 0;
-                }
-                return a.seq < b.seq;
-              });
+    RecordRef* first = bucket.refs.data();
+    PrefixRadixSort(bucket.arena.data(), options_.comparator)
+        .Sort(first, first + bucket.refs.size(), /*permuted=*/false);
   }
 }
 
@@ -177,16 +292,21 @@ Status SortBuffer::EmitBucket(const Bucket& bucket, RecordSink* sink) {
   }
   // Stream each comparator-equal group through the combiner; values are
   // never materialized into a side vector.
+  Status st;
+  uint64_t combine_input_records = 0;
   size_t i = 0;
-  while (i < refs.size()) {
+  while (st.ok() && i < refs.size()) {
     GroupIterator group(bucket, i, options_.comparator);
     const Slice group_key(arena + refs[i].key_offset, refs[i].key_len);
-    NGRAM_RETURN_NOT_OK(options_.combiner(group_key, &group, sink));
-    group.Count();  // Skip whatever the combiner left unconsumed.
-    counters_->Increment(kCombineInputRecords, group.consumed());
-    i = group.end_index();
+    st = options_.combiner(group_key, &group, sink);
+    if (st.ok()) {
+      group.Count();  // Skip whatever the combiner left unconsumed.
+      combine_input_records += group.consumed();
+      i = group.end_index();
+    }
   }
-  return Status::OK();
+  counters_->Increment(kCombineInputRecords, combine_input_records);
+  return st;
 }
 
 Status SortBuffer::WriteRunToMemory(SpillRun* run) {

@@ -34,10 +34,11 @@ struct RunSegment {
 
 /// Reference to one record inside its bucket's arena. Value bytes
 /// immediately follow the key bytes, so one offset locates both. The
-/// cached sort-key prefix resolves most comparisons without touching
-/// the arena. `seq` (the insertion index, free inside the struct's
-/// padding) breaks ties so a plain std::sort is stable — no
-/// stable_sort merge passes or temp buffer.
+/// cached sort-key prefix drives the radix passes and resolves most
+/// comparisons without touching the arena. `seq` (the insertion index,
+/// free inside the struct's padding) breaks ties: (prefix, Compare, seq)
+/// is a strict total order, so the unstable in-place sort yields exactly
+/// the permutation a stable sort would.
 struct SortedRecordRef {
   uint64_t sort_prefix;  // RawComparator::SortPrefix of the key.
   uint32_t key_offset;   // Into the bucket's arena.
@@ -143,6 +144,10 @@ class SortBuffer {
   Status Finish(std::vector<SpillRun>* runs);
 
   uint64_t spill_count() const { return spill_count_; }
+
+  /// Ranges of fewer records skip the radix passes and take the
+  /// comparator sort directly.
+  static constexpr size_t kRadixSortMinRecords = 64;
 
  private:
   using RecordRef = SortedRecordRef;

@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
+#include <numeric>
 
+#include "core/rev_lex.h"
+#include "corpus/zipf.h"
+#include "encoding/sequence.h"
 #include "encoding/serde.h"
 #include "mapreduce/job.h"
 #include "mapreduce/merge.h"
 #include "mapreduce/spill_writer.h"
+#include "util/random.h"
 #include "util/temp_dir.h"
 
 namespace ngram::mr {
@@ -409,6 +415,199 @@ TEST_F(SortBufferTest, CompressedSpillsShrinkAndCountRunBytes) {
   const uint64_t written = counters.Get(kRunBytesWritten);
   ASSERT_GT(raw, 0u);
   EXPECT_LT(written, raw);
+}
+
+// --- Sort order against a reference sort ------------------------------
+//
+// An unspilled, uncombined Finish hands the sorted bucket refs to the run
+// as-is, so their `seq` fields spell out the permutation the sort chose.
+// It must equal a reference std::sort under the full order (prefix,
+// Compare, seq) — the one permutation every correct sort produces.
+
+/// Keeps the default constant-0 prefix: every bucket is one equal-prefix
+/// range and no radix pass ever runs.
+class ConstantPrefixComparator final : public RawComparator {
+ public:
+  int Compare(Slice a, Slice b) const override { return a.compare(b); }
+  const char* Name() const override { return "constant-prefix"; }
+};
+
+/// Bytewise order with a prefix of only the first key byte (in the low
+/// byte): one radix pass, then large ranges of distinct keys sharing it.
+class FirstBytePrefixComparator final : public RawComparator {
+ public:
+  int Compare(Slice a, Slice b) const override { return a.compare(b); }
+  uint64_t SortPrefix(Slice key) const override {
+    return key.empty() ? 0 : key.udata()[0];
+  }
+  const char* Name() const override { return "first-byte-prefix"; }
+};
+
+enum class KeyMix {
+  kIdentical,      // One key, repeated.
+  kZipf,           // Zipf-distributed duplicates of a key pool.
+  kSharedPrefix,   // Distinct keys sharing their first 8 bytes.
+  kBytePrefixes,   // Keys that are byte-prefixes of other keys.
+  kEmpty,          // Half empty keys, half short keys.
+};
+
+const char* MixName(KeyMix mix) {
+  switch (mix) {
+    case KeyMix::kIdentical: return "identical";
+    case KeyMix::kZipf: return "zipf";
+    case KeyMix::kSharedPrefix: return "shared-prefix";
+    case KeyMix::kBytePrefixes: return "byte-prefixes";
+    case KeyMix::kEmpty: return "empty";
+  }
+  return "?";
+}
+
+/// Keys are encoded term sequences, so the reverse-lex comparator sees
+/// well-formed input; term ids up to 1e5 give 1–3 byte varints.
+TermSequence RandomSequence(Rng* rng, size_t min_len, size_t max_len,
+                            uint64_t max_term) {
+  TermSequence seq(min_len + rng->Uniform(max_len - min_len + 1));
+  for (TermId& t : seq) {
+    t = static_cast<TermId>(1 + rng->Uniform(max_term));
+  }
+  return seq;
+}
+
+std::vector<std::string> MakeKeys(KeyMix mix, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  auto encode = [](const TermSequence& seq) {
+    std::string key;
+    SequenceCodec::Encode(seq, &key);
+    return key;
+  };
+  std::vector<std::string> keys;
+  keys.reserve(n);
+  switch (mix) {
+    case KeyMix::kIdentical: {
+      const std::string key = encode({3, 1, 4, 1, 5, 9, 2, 6, 5, 3});
+      keys.assign(n, key);
+      break;
+    }
+    case KeyMix::kZipf: {
+      std::vector<std::string> pool;
+      for (int i = 0; i < 500; ++i) {
+        pool.push_back(encode(RandomSequence(&rng, 1, 5, 3000)));
+      }
+      const ZipfSampler zipf(pool.size(), 1.0);
+      for (size_t i = 0; i < n; ++i) {
+        keys.push_back(pool[zipf.Sample(&rng) - 1]);
+      }
+      break;
+    }
+    case KeyMix::kSharedPrefix: {
+      const std::string head = encode({1, 2, 3, 4, 5, 6, 7, 8});
+      for (size_t i = 0; i < n; ++i) {
+        keys.push_back(head + encode(RandomSequence(&rng, 1, 3, 100000)));
+      }
+      break;
+    }
+    case KeyMix::kBytePrefixes: {
+      // Cut at term boundaries: still byte-prefixes, still well-formed.
+      std::vector<TermSequence> bases;
+      for (int i = 0; i < 4; ++i) {
+        bases.push_back(RandomSequence(&rng, 6, 14, 300));
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const TermSequence& base = bases[rng.Uniform(bases.size())];
+        const size_t len = rng.Uniform(base.size() + 1);
+        keys.push_back(encode(TermSequence(base.begin(), base.begin() + len)));
+      }
+      break;
+    }
+    case KeyMix::kEmpty: {
+      for (size_t i = 0; i < n; ++i) {
+        keys.push_back(rng.OneIn(0.5)
+                           ? std::string()
+                           : encode(RandomSequence(&rng, 1, 2, 50)));
+      }
+      break;
+    }
+  }
+  return keys;
+}
+
+void ExpectReferenceOrder(const RawComparator* cmp, const std::string& dir) {
+  const size_t cutoff = SortBuffer::kRadixSortMinRecords;
+  const std::vector<size_t> sizes = {0,          1,      2,     cutoff - 1,
+                                     cutoff,     cutoff + 1,   20000};
+  const std::vector<KeyMix> mixes = {KeyMix::kIdentical, KeyMix::kZipf,
+                                     KeyMix::kSharedPrefix,
+                                     KeyMix::kBytePrefixes, KeyMix::kEmpty};
+  for (KeyMix mix : mixes) {
+    for (size_t n : sizes) {
+      SCOPED_TRACE(std::string(cmp->Name()) + " mix=" + MixName(mix) +
+                   " n=" + std::to_string(n));
+      const std::vector<std::string> keys = MakeKeys(mix, n, 17 + n);
+      Counters counters;
+      TaskCounters tc(&counters);
+      SortBuffer::Options opts;
+      opts.budget_bytes = size_t{1} << 30;
+      opts.work_dir = dir;
+      opts.comparator = cmp;
+      SortBuffer buffer(opts, &tc);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(buffer.Add(0, keys[i], std::to_string(i)).ok());
+      }
+      std::vector<SpillRun> runs;
+      ASSERT_TRUE(buffer.Finish(&runs).ok());
+      if (n == 0) {
+        EXPECT_TRUE(runs.empty());
+        continue;
+      }
+      ASSERT_EQ(runs.size(), 1u);
+      ASSERT_TRUE(runs[0].zero_copy());
+      const SpillRun::MemoryBucket& bucket = runs[0].buckets[0];
+      ASSERT_EQ(bucket.refs.size(), n);
+
+      std::vector<uint64_t> prefixes(n);
+      for (size_t i = 0; i < n; ++i) {
+        prefixes[i] = cmp->SortPrefix(keys[i]);
+      }
+      std::vector<uint32_t> want(n);
+      std::iota(want.begin(), want.end(), 0u);
+      std::sort(want.begin(), want.end(), [&](uint32_t a, uint32_t b) {
+        if (prefixes[a] != prefixes[b]) {
+          return prefixes[a] < prefixes[b];
+        }
+        const int c = cmp->Compare(keys[a], keys[b]);
+        return c != 0 ? c < 0 : a < b;
+      });
+
+      std::vector<uint32_t> got;
+      for (const SortedRecordRef& ref : bucket.refs) {
+        ASSERT_LT(ref.seq, n);
+        ASSERT_EQ(Slice(bucket.arena.data() + ref.key_offset, ref.key_len),
+                  Slice(keys[ref.seq]));
+        ASSERT_EQ(ref.sort_prefix, prefixes[ref.seq]);
+        got.push_back(ref.seq);
+      }
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
+TEST_F(SortBufferTest, SortOrderMatchesReferenceBytewise) {
+  ExpectReferenceOrder(BytewiseComparator::Instance(), dir_->path().string());
+}
+
+TEST_F(SortBufferTest, SortOrderMatchesReferenceReverseLex) {
+  ExpectReferenceOrder(ReverseLexSequenceComparator::Instance(),
+                       dir_->path().string());
+}
+
+TEST_F(SortBufferTest, SortOrderMatchesReferenceConstantPrefix) {
+  static const ConstantPrefixComparator kCmp;
+  ExpectReferenceOrder(&kCmp, dir_->path().string());
+}
+
+TEST_F(SortBufferTest, SortOrderMatchesReferenceFirstBytePrefix) {
+  static const FirstBytePrefixComparator kCmp;
+  ExpectReferenceOrder(&kCmp, dir_->path().string());
 }
 
 }  // namespace
