@@ -1,8 +1,12 @@
 // Micro-benchmarks of the performance-critical building blocks: varbyte
 // codec, the reverse-lexicographic raw comparator, the suffix stack, the
-// sort buffer, posting joins, and the Zipf sampler.
+// sort buffer, run-file block decoding, posting joins, and the Zipf
+// sampler.
 #include <benchmark/benchmark.h>
 
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include "core/rev_lex.h"
@@ -10,6 +14,8 @@
 #include "corpus/zipf.h"
 #include "encoding/serde.h"
 #include "index/posting.h"
+#include "mapreduce/record.h"
+#include "mapreduce/runfile.h"
 #include "mapreduce/sort_buffer.h"
 #include "util/random.h"
 #include "util/temp_dir.h"
@@ -171,6 +177,83 @@ void BM_SortBufferAddAndFinish(::benchmark::State& state) {
 BENCHMARK(BM_SortBufferAddAndFinish)
     ->Arg(16 << 10)    // Heavy spilling.
     ->Arg(64 << 20);   // All in memory.
+
+// Decodes the first 16 KiB block of a run file holding an n-gram table —
+// every 1- to 4-gram of a Zipf(1.05) token stream over 5000 terms, keys
+// varbyte-encoded and bytewise sorted, values varint counts: the shape of
+// a serving shard. Each iteration decodes into a fresh string, as a
+// serving cache miss does.
+void BM_DecodeBlock(::benchmark::State& state) {
+  auto dir = TempDir::Create("bench-decode-block");
+  if (!dir.ok()) {
+    state.SkipWithError("tempdir failed");
+    return;
+  }
+  ZipfSampler sampler(5000, 1.05);
+  Rng rng(8);
+  TermSequence stream(20000);
+  for (TermId& term : stream) {
+    term = static_cast<TermId>(sampler.Sample(&rng));
+  }
+  std::map<std::string, uint64_t> table;
+  std::string key;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    for (size_t n = 1; n <= 4 && i + n <= stream.size(); ++n) {
+      key.clear();
+      SequenceCodec::Encode(TermSequence(stream.begin() + i,
+                                         stream.begin() + i + n),
+                            &key);
+      ++table[key];
+    }
+  }
+  const std::string path = dir->File("table.run");
+  auto writer = mr::NewRunWriter(path, mr::RunWriterOptions{});
+  Status st = writer->Open();
+  std::string value;
+  for (auto it = table.begin(); st.ok() && it != table.end(); ++it) {
+    value.clear();
+    PutVarint64(&value, it->second);
+    st = writer->Append(Slice(it->first), Slice(value));
+  }
+  if (st.ok()) {
+    st = writer->Close();
+  }
+  if (!st.ok()) {
+    state.SkipWithError(st.ToString().c_str());
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+
+  std::string framed;
+  std::vector<uint32_t> restarts;
+  uint64_t block_end = 0;
+  st = mr::DecodeBlockAtIndexed(Slice(file), 0, path, &framed, &restarts,
+                                &block_end);
+  if (!st.ok() || block_end >= file.size()) {
+    state.SkipWithError("expected a table spanning several blocks");
+    return;
+  }
+  int64_t records = 0;
+  for (mr::MemoryRecordReader reader{Slice(framed)}; reader.Next();) {
+    ++records;
+  }
+  for (auto _ : state) {
+    std::string decoded;
+    st = mr::DecodeBlockAtIndexed(Slice(file), 0, path, &decoded, &restarts,
+                                  &block_end);
+    ::benchmark::DoNotOptimize(decoded.data());
+    ::benchmark::DoNotOptimize(restarts.data());
+    ::benchmark::ClobberMemory();
+  }
+  if (!st.ok()) {
+    state.SkipWithError(st.ToString().c_str());
+  }
+  state.SetItemsProcessed(state.iterations() * records);
+  state.counters["block_bytes"] = static_cast<double>(block_end);
+}
+BENCHMARK(BM_DecodeBlock);
 
 void BM_PostingJoin(::benchmark::State& state) {
   Rng rng(6);

@@ -93,6 +93,11 @@ Status ReadStatsBinary(const std::string& path, NgramStatistics* stats,
   if (!GetVarint64(&in, &count)) {
     return Status::Corruption(path + ": bad entry count");
   }
+  // Every entry takes at least one byte: a larger count is corrupt and
+  // must not reach reserve().
+  if (count > in.size()) {
+    return Status::Corruption(path + ": implausible entry count");
+  }
   stats->entries.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t seq_len = 0;

@@ -112,7 +112,8 @@ struct Serde<std::vector<T>> {
   }
   static bool Decode(Slice in, std::vector<T>* out) {
     uint64_t n = 0;
-    if (!GetVarint64(&in, &n)) {
+    // Each element carries at least its length byte.
+    if (!GetVarint64(&in, &n) || n > in.size()) {
       return false;
     }
     out->clear();

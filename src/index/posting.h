@@ -68,7 +68,9 @@ struct Serde<Posting> {
   static bool Decode(Slice in, Posting* p) {
     p->positions.clear();
     uint64_t n = 0;
-    if (!GetVarint64(&in, &p->doc_id) || !GetVarint64(&in, &n)) {
+    // Each position delta takes at least one byte.
+    if (!GetVarint64(&in, &p->doc_id) || !GetVarint64(&in, &n) ||
+        n > in.size()) {
       return false;
     }
     uint32_t prev = 0;
@@ -158,7 +160,8 @@ struct Serde<PostingList> {
   static bool Decode(Slice in, PostingList* list) {
     list->postings.clear();
     uint64_t n = 0;
-    if (!GetVarint64(&in, &n)) {
+    // Each posting and position delta takes at least one byte.
+    if (!GetVarint64(&in, &n) || n > in.size()) {
       return false;
     }
     list->postings.reserve(n);
@@ -166,7 +169,8 @@ struct Serde<PostingList> {
     for (uint64_t i = 0; i < n; ++i) {
       Posting p;
       uint64_t doc_delta = 0, count = 0;
-      if (!GetVarint64(&in, &doc_delta) || !GetVarint64(&in, &count)) {
+      if (!GetVarint64(&in, &doc_delta) || !GetVarint64(&in, &count) ||
+          count > in.size()) {
         return false;
       }
       prev_doc += doc_delta;

@@ -1,6 +1,7 @@
 #include "mapreduce/runfile.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "encoding/varint.h"
@@ -144,14 +145,20 @@ namespace {
 // `restart_offsets` is non-null it receives, per restart-array slot, the
 // offset within `*framed` of that restart entry's frame — translating the
 // writer's payload-offset index into the decoded representation.
+//
+// Frames are written through a raw cursor into `*framed`, sized up front
+// to twice the payload: front coding rarely more than doubles a block, so
+// the buffer grows (doubling) only for blocks of long shared prefixes. A
+// frame's shared key prefix is copied from the previous frame's key in
+// the same buffer, located by offset so growth cannot leave it dangling.
 Status DecodeBlockPayloadImpl(Slice payload, uint64_t block_offset,
                               const std::string& path, std::string* framed,
                               std::vector<uint32_t>* restart_offsets) {
   auto corrupt = [&](const std::string& what) {
+    framed->clear();
     return Status::Corruption(what + " in block at offset " +
                               std::to_string(block_offset) + " of " + path);
   };
-  framed->clear();
   if (restart_offsets != nullptr) {
     restart_offsets->clear();
   }
@@ -170,14 +177,22 @@ Status DecodeBlockPayloadImpl(Slice payload, uint64_t block_offset,
   const size_t entries_end = payload.size() - static_cast<size_t>(restart_bytes);
   const char* const restart_array = payload.data() + entries_end;
   uint32_t next_restart = 0;  // Restart-array slots consumed so far.
+  if (restart_offsets != nullptr) {
+    restart_offsets->reserve(num_restarts);
+  }
 
-  std::string last_key;
+  // Old contents are overwritten from the front, so only bytes past the
+  // previous size get zero-filled.
+  framed->resize(2 * payload.size());
+  size_t pos = 0;           // Bytes of `*framed` written so far.
+  size_t last_key_pos = 0;  // Previous frame's key within `*framed`...
+  size_t last_key_len = 0;  // ...and its length (0 before the first).
   Slice in(payload.data(), entries_end);
   while (!in.empty()) {
     if (restart_offsets != nullptr && next_restart < num_restarts &&
         DecodeFixed32(restart_array + 4 * next_restart) ==
             static_cast<uint32_t>(in.data() - payload.data())) {
-      restart_offsets->push_back(static_cast<uint32_t>(framed->size()));
+      restart_offsets->push_back(static_cast<uint32_t>(pos));
       ++next_restart;
     }
     // Entry header: tag byte (shared/non_shared nibbles, 15 = varint
@@ -193,21 +208,31 @@ Status DecodeBlockPayloadImpl(Slice payload, uint64_t block_offset,
       return corrupt("malformed entry header");
     }
     // Checked term by term: summing corrupt near-2^64 lengths would wrap
-    // past the bound and reach the append() below as a giant count.
-    if (shared > last_key.size() || non_shared > in.size() ||
+    // past the bound and reach the copies below as a giant count.
+    if (shared > last_key_len || non_shared > in.size() ||
         vlen > in.size() - non_shared) {
       return corrupt("entry references out-of-range bytes");
     }
-    last_key.resize(static_cast<size_t>(shared));
-    last_key.append(in.data(), static_cast<size_t>(non_shared));
-    in.RemovePrefix(static_cast<size_t>(non_shared));
-    PutVarint64(framed, last_key.size());
-    PutVarint64(framed, vlen);
-    framed->append(last_key);
-    framed->append(in.data(), static_cast<size_t>(vlen));
-    in.RemovePrefix(static_cast<size_t>(vlen));
+    const size_t klen = static_cast<size_t>(shared + non_shared);
+    const size_t frame_bytes = static_cast<size_t>(VarintLength(klen)) +
+                               VarintLength(vlen) + klen +
+                               static_cast<size_t>(vlen);
+    if (frame_bytes > framed->size() - pos) {
+      framed->resize(std::max(2 * framed->size(), pos + frame_bytes));
+    }
+    char* const frame = framed->data() + pos;
+    char* key = EncodeVarint64To(frame, klen);
+    key = EncodeVarint64To(key, vlen);
+    memcpy(key, framed->data() + last_key_pos, static_cast<size_t>(shared));
+    memcpy(key + shared, in.data(), static_cast<size_t>(non_shared));
+    memcpy(key + klen, in.data() + non_shared, static_cast<size_t>(vlen));
+    in.RemovePrefix(static_cast<size_t>(non_shared + vlen));
+    last_key_pos = static_cast<size_t>(key - framed->data());
+    last_key_len = klen;
+    pos += frame_bytes;
   }
-  if (framed->empty()) {
+  framed->resize(pos);
+  if (pos == 0) {
     // The writer never emits an entry-less block; accepting one (a
     // CRC-valid restart-array-only payload) would break readers that use
     // "decoded something" as their progress guarantee.

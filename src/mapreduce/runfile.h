@@ -133,8 +133,11 @@ std::unique_ptr<RunWriter> NewRunWriter(std::string path,
 
 /// Decodes one block payload (front-coded entries + restart array; CRC
 /// already verified by the caller) into back-to-back raw
-/// `[klen][vlen][key][value]` frames appended to `*framed` (cleared
-/// first). `block_offset` and `path` only shape the Corruption messages.
+/// `[klen][vlen][key][value]` frames that replace the contents of
+/// `*framed` (left empty on failure). The buffer is sized once from the
+/// payload and grows only when a block expands past that estimate, so a
+/// reused `*framed` keeps its capacity across calls. `block_offset` and
+/// `path` only shape the Corruption messages.
 /// Shared by FileRecordReader's streaming block loader and the serving
 /// layer's mmap-backed random-access block reads, so both paths decode —
 /// and reject corruption in — the format identically.

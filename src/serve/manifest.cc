@@ -114,6 +114,14 @@ Status ReadManifest(const std::string& dir, Manifest* manifest,
       !GetVarint64(&cursor, &num_shards)) {
     return corrupt("malformed manifest header");
   }
+  if (max_order > UINT32_MAX) {
+    return corrupt("implausible max order");
+  }
+  // Every shard and block entry takes at least one byte, so a count past
+  // the bytes left is corrupt — and must not reach reserve().
+  if (num_shards > cursor.size()) {
+    return corrupt("implausible shard count");
+  }
   out.max_order = static_cast<uint32_t>(max_order);
   out.shards.reserve(static_cast<size_t>(num_shards));
   for (uint64_t s = 0; s < num_shards; ++s) {
@@ -126,6 +134,9 @@ Status ReadManifest(const std::string& dir, Manifest* manifest,
         !GetLengthPrefixed(&cursor, &shard.max_key) ||
         !GetVarint64(&cursor, &num_blocks)) {
       return corrupt("malformed shard entry");
+    }
+    if (num_blocks > cursor.size()) {
+      return corrupt("implausible block count");
     }
     shard.blocks.reserve(static_cast<size_t>(num_blocks));
     for (uint64_t b = 0; b < num_blocks; ++b) {

@@ -136,23 +136,35 @@ Result<uint64_t> StatsService::Count(const TermSequence& ngram) const {
 
 Result<std::vector<Completion>> StatsService::TopKCompletions(
     const TermSequence& prefix, size_t k) const {
+  std::vector<Completion> best;
+  if (k == 0) {
+    return best;
+  }
+  // Ranks by count desc, then term asc. Terms are distinct within one
+  // prefix, so this is a strict total order and the k best are unique.
+  const auto better = [](const Completion& a, const Completion& b) {
+    if (a.count != b.count) {
+      return a.count > b.count;
+    }
+    return a.term < b.term;
+  };
+  // A k-sized heap under `better` keeps the worst kept completion on top:
+  // a candidate that does not beat it is dropped after one comparison.
   const std::shared_ptr<const Snapshot> snap = snapshot();
-  std::vector<Completion> completions;
   NGRAM_RETURN_NOT_OK(ScanContinuations(
       *snap->store, prefix, [&](TermId term, uint64_t count) {
-        completions.push_back(Completion{term, count});
+        const Completion candidate{term, count};
+        if (best.size() < k) {
+          best.push_back(candidate);
+          std::push_heap(best.begin(), best.end(), better);
+        } else if (better(candidate, best.front())) {
+          std::pop_heap(best.begin(), best.end(), better);
+          best.back() = candidate;
+          std::push_heap(best.begin(), best.end(), better);
+        }
       }));
-  std::sort(completions.begin(), completions.end(),
-            [](const Completion& a, const Completion& b) {
-              if (a.count != b.count) {
-                return a.count > b.count;
-              }
-              return a.term < b.term;
-            });
-  if (completions.size() > k) {
-    completions.resize(k);
-  }
-  return completions;
+  std::sort_heap(best.begin(), best.end(), better);
+  return best;
 }
 
 Result<double> StatsService::Perplexity(const Corpus& text) const {

@@ -63,7 +63,9 @@ class StatsService {
   /// by descending count then ascending term id, at most `k`. Unlike the
   /// model's TopContinuations this does not back off — it reports exactly
   /// what the statistics contain, so results are comparable bytewise
-  /// across methods and shard counts.
+  /// across methods and shard counts. Scans every one-term extension but
+  /// keeps only the best k: O(n log k) time and O(k) memory for n
+  /// extensions; `k == 0` returns an empty list without scanning.
   Result<std::vector<Completion>> TopKCompletions(const TermSequence& prefix,
                                                   size_t k) const;
 

@@ -74,6 +74,11 @@ Status ReadCorpusBinary(const std::string& path, Corpus* corpus,
   if (!GetVarint64(&in, &num_docs)) {
     return Status::Corruption(path + ": bad document count");
   }
+  // Every document, sentence and term takes at least one byte: a count
+  // past the bytes left is corrupt and must not reach reserve().
+  if (num_docs > in.size()) {
+    return Status::Corruption(path + ": implausible document count");
+  }
   corpus->docs.reserve(num_docs);
   for (uint64_t d = 0; d < num_docs; ++d) {
     Document doc;
@@ -83,12 +88,18 @@ Status ReadCorpusBinary(const std::string& path, Corpus* corpus,
         !GetVarint64(&in, &num_sentences)) {
       return Status::Corruption(path + ": truncated document header");
     }
+    if (num_sentences > in.size()) {
+      return Status::Corruption(path + ": implausible sentence count");
+    }
     doc.year = static_cast<int32_t>(year);
     doc.sentences.reserve(num_sentences);
     for (uint64_t s = 0; s < num_sentences; ++s) {
       uint64_t len = 0;
       if (!GetVarint64(&in, &len)) {
         return Status::Corruption(path + ": truncated sentence header");
+      }
+      if (len > in.size()) {
+        return Status::Corruption(path + ": implausible sentence length");
       }
       TermSequence sentence;
       sentence.reserve(len);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "encoding/varint.h"
 #include "mapreduce/io_env.h"
 #include "text/corpus_builder.h"
 #include "util/temp_dir.h"
@@ -71,6 +72,19 @@ TEST_F(StatsIoTest, BinaryRejectsTruncation) {
       << content.substr(0, content.size() - 1);
   NgramStatistics loaded;
   EXPECT_TRUE(ReadStatsBinary(path, &loaded).IsCorruption());
+}
+
+TEST_F(StatsIoTest, BinaryRejectsImpossibleEntryCount) {
+  // The right magic, then an entry count of 2^60 over a handful of bytes:
+  // Corruption, checked before anything is reserved for the entries.
+  std::string bytes = "NGS1";
+  PutVarint64(&bytes, uint64_t{1} << 60);
+  bytes += "\x01\x01\x01";
+  const std::string path = dir_->File("huge-count.bin");
+  std::ofstream(path, std::ios::binary) << bytes;
+  NgramStatistics loaded;
+  const Status st = ReadStatsBinary(path, &loaded);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
 
 TEST_F(StatsIoTest, FaultEnvInjectsWriteError) {

@@ -97,6 +97,16 @@ TEST(SerdeTest, TimeSeriesRoundTrip) {
   EXPECT_EQ(RoundTrip(ts), ts);
 }
 
+TEST(SerdeTest, VectorRejectsImpossibleCount) {
+  // A count of 2^60 elements over a few bytes is rejected before anything
+  // is reserved: every element carries at least its length byte.
+  std::string buf;
+  PutVarint64(&buf, uint64_t{1} << 60);
+  buf += "\x01x\x01y";
+  std::vector<std::string> out;
+  EXPECT_FALSE(Serde<std::vector<std::string>>::Decode(Slice(buf), &out));
+}
+
 TEST(SerdeTest, PostingListDeltaEncodingIsCompact) {
   // Dense doc ids and positions should cost ~1 byte each.
   PostingList list;

@@ -121,6 +121,32 @@ PostingList SortAndMerge(std::vector<Posting> postings) {
   return list;
 }
 
+TEST(PostingSerdeTest, ImpossibleCountsAreRejected) {
+  // Counts of 2^60 over a few bytes — positions of one posting, postings
+  // of a list, positions of a list's posting — are rejected before
+  // anything is reserved: every element takes at least one byte.
+  constexpr uint64_t kHuge = uint64_t{1} << 60;
+  std::string posting;
+  PutVarint64(&posting, 7);      // doc id
+  PutVarint64(&posting, kHuge);  // position count
+  posting += "\x01\x01";
+  Posting p;
+  EXPECT_FALSE(Serde<Posting>::Decode(Slice(posting), &p));
+
+  std::string huge_list;
+  PutVarint64(&huge_list, kHuge);  // posting count
+  huge_list += "\x01\x01";
+  std::string huge_positions;
+  PutVarint64(&huge_positions, 1);      // posting count
+  PutVarint64(&huge_positions, 7);      // doc delta
+  PutVarint64(&huge_positions, kHuge);  // position count
+  huge_positions += "\x01\x01";
+  for (const std::string& list : {huge_list, huge_positions}) {
+    PostingList out;
+    EXPECT_FALSE(Serde<PostingList>::Decode(Slice(list), &out));
+  }
+}
+
 TEST(PostingListBuilderTest, InOrderInputConcatenates) {
   PostingListBuilder builder;
   EXPECT_EQ(Build({{1, {0, 3}}, {2, {1}}, {5, {2, 4, 9}}}, &builder),

@@ -8,14 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "encoding/varint.h"
 #include "mapreduce/record.h"
 #include "mapreduce/spill_writer.h"
 #include "util/temp_dir.h"
@@ -67,6 +70,76 @@ class RunFileTest : public ::testing::Test {
       EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
     }
     return out;
+  }
+
+  /// Decodes a whole block-format file block by block with
+  /// DecodeBlockAtIndexed, expecting `records` in order, and checks that
+  /// restart j of every block points at the frame of the block's
+  /// (j * restart_interval)-th record — a frame holding that restart
+  /// entry's key. Returns how many blocks decoded to more than twice
+  /// their stored size — past the decoder's initial buffer estimate, so
+  /// each of them ran its growth path.
+  size_t ExpectIndexedDecode(const std::string& path, const KvList& records,
+                             uint32_t restart_interval) {
+    std::string file;
+    {
+      std::ifstream in(path, std::ios::binary);
+      file.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    size_t expanded_blocks = 0;
+    size_t next_record = 0;
+    uint64_t offset = 0;
+    while (offset < file.size()) {
+      std::string framed;  // Fresh per block: growth must reallocate.
+      std::vector<uint32_t> restarts;
+      uint64_t next_offset = 0;
+      const Status st = DecodeBlockAtIndexed(Slice(file), offset, path,
+                                             &framed, &restarts, &next_offset);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      if (!st.ok()) {
+        return expanded_blocks;
+      }
+      if (framed.size() > 2 * (next_offset - offset)) {
+        ++expanded_blocks;
+      }
+      std::vector<uint32_t> frame_offsets;
+      Slice in(framed);
+      while (!in.empty()) {
+        frame_offsets.push_back(
+            static_cast<uint32_t>(in.data() - framed.data()));
+        uint64_t klen = 0;
+        uint64_t vlen = 0;
+        EXPECT_TRUE(GetVarint64(&in, &klen) && GetVarint64(&in, &vlen) &&
+                    klen + vlen <= in.size())
+            << "malformed frame in block at offset " << offset;
+        EXPECT_LT(next_record, records.size());
+        if (HasFailure() || next_record >= records.size()) {
+          return expanded_blocks;
+        }
+        EXPECT_EQ(Slice(in.data(), klen), Slice(records[next_record].first));
+        EXPECT_EQ(Slice(in.data() + klen, vlen),
+                  Slice(records[next_record].second));
+        in.RemovePrefix(static_cast<size_t>(klen + vlen));
+        ++next_record;
+      }
+      EXPECT_EQ(restarts.size(),
+                (frame_offsets.size() + restart_interval - 1) /
+                    restart_interval);
+      for (size_t j = 0; j < restarts.size(); ++j) {
+        const size_t entry = j * restart_interval;
+        EXPECT_LT(entry, frame_offsets.size());
+        if (entry >= frame_offsets.size()) {
+          break;
+        }
+        // The loop above checked that this frame holds the block's
+        // entry-th record, so the restart lands on its key.
+        EXPECT_EQ(restarts[j], frame_offsets[entry])
+            << "restart " << j << " of block at offset " << offset;
+      }
+      offset = next_offset;
+    }
+    EXPECT_EQ(next_record, records.size());
+    return expanded_blocks;
   }
 
   std::unique_ptr<TempDir> dir_;
@@ -142,34 +215,57 @@ TEST_F(RunFileTest, SegmentExtentsAreIndependentlyReadable) {
 TEST_F(RunFileTest, FuzzRoundTripAcrossLengthMixesAndBlockSizes) {
   // Random key/value length mixes — empty through records several times
   // the block size — across small blocks and degenerate restart
-  // intervals. Deterministic seed per configuration.
+  // intervals; plus sorted keys that share a 1 KiB prefix, whose
+  // multi-key blocks decode to many times their stored size and so run
+  // the decoder's buffer-growth path. Every run is read back through
+  // FileRecordReader and block by block through DecodeBlockAtIndexed.
+  // Deterministic seed per configuration.
   for (const size_t block_bytes : {64ul, 512ul, 16384ul}) {
     for (const uint32_t restart_interval : {1u, 3u, 16u}) {
       std::mt19937 rng(block_bytes * 131 + restart_interval);
       std::uniform_int_distribution<int> key_len(0, 120);
+      std::uniform_int_distribution<int> suffix_len(0, 8);
       std::uniform_int_distribution<int> value_len(0, 64);
       std::uniform_int_distribution<int> chars('a', 'z');
+      const auto random_string = [&](size_t len) {
+        std::string s(len, '\0');
+        for (char& c : s) c = static_cast<char>(chars(rng));
+        return s;
+      };
       KvList records;
+      KvList shared_prefix;
       for (int i = 0; i < 400; ++i) {
-        std::string key(key_len(rng), '\0');
-        for (char& c : key) c = static_cast<char>(chars(rng));
-        std::string value(value_len(rng), '\0');
-        for (char& c : value) c = static_cast<char>(chars(rng));
+        std::string value = random_string(value_len(rng));
         if (i % 37 == 0) {
           value.assign(block_bytes * 3, 'X');  // Larger than one block.
         }
-        records.emplace_back(std::move(key), std::move(value));
+        records.emplace_back(random_string(key_len(rng)), std::move(value));
+        shared_prefix.emplace_back(
+            std::string(1024, 'p') + random_string(suffix_len(rng)),
+            random_string(value_len(rng)));
       }
-      const std::string path = Path(
-          "fuzz-" + std::to_string(block_bytes) + "-" +
-          std::to_string(restart_interval));
-      RunWriterOptions options;
-      options.block_bytes = block_bytes;
-      options.restart_interval = restart_interval;
-      const uint64_t length = WriteBlockRun(path, records, options);
-      EXPECT_EQ(ReadBlockRun(path, 0, length), records)
-          << "block_bytes=" << block_bytes
-          << " restart_interval=" << restart_interval;
+      std::sort(shared_prefix.begin(), shared_prefix.end());
+      for (const KvList* mix : {&records, &shared_prefix}) {
+        const std::string path =
+            Path("fuzz-" + std::to_string(block_bytes) + "-" +
+                 std::to_string(restart_interval) +
+                 (mix == &records ? "-random" : "-shared"));
+        RunWriterOptions options;
+        options.block_bytes = block_bytes;
+        options.restart_interval = restart_interval;
+        const uint64_t length = WriteBlockRun(path, *mix, options);
+        EXPECT_EQ(ReadBlockRun(path, 0, length), *mix)
+            << path << " block_bytes=" << block_bytes
+            << " restart_interval=" << restart_interval;
+        const size_t expanded =
+            ExpectIndexedDecode(path, *mix, restart_interval);
+        if (mix == &shared_prefix && block_bytes > 1024 &&
+            restart_interval > 1) {
+          // Blocks of several 1 KiB-prefix keys expand several times
+          // over, so the growth path must have run.
+          EXPECT_GT(expanded, 0u) << path;
+        }
+      }
     }
   }
 }

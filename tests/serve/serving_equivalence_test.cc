@@ -7,6 +7,8 @@
 // partitioned.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -74,7 +76,10 @@ const NgramStatistics& ReferenceStats() {
 /// Reference answers precomputed once from the statistics table.
 struct Reference {
   std::vector<std::pair<TermSequence, uint64_t>> counts;
-  std::map<TermSequence, std::vector<Completion>> topk;
+  /// Every one-term extension of each distinct prefix, best first; the
+  /// top-k answer is the first k entries.
+  std::map<TermSequence, std::vector<Completion>> completions;
+  size_t longest_list = 0;
   double perplexity = 0.0;
 };
 
@@ -83,14 +88,14 @@ const Reference& Ref() {
     Reference r;
     const NgramStatistics& stats = ReferenceStats();
     r.counts.assign(stats.entries.begin(), stats.entries.end());
-    // Top-k per distinct prefix (each entry minus its last term) straight
-    // from the table: one-term extensions ranked by count desc, term asc.
-    std::map<TermSequence, std::vector<Completion>> extensions;
+    // Completions per distinct prefix (each entry minus its last term)
+    // straight from the table: one-term extensions ranked by count desc,
+    // term asc, the whole list kept.
     for (const auto& [seq, cf] : stats.entries) {
       TermSequence prefix(seq.begin(), seq.end() - 1);
-      extensions[prefix].push_back(Completion{seq.back(), cf});
+      r.completions[prefix].push_back(Completion{seq.back(), cf});
     }
-    for (auto& [prefix, completions] : extensions) {
+    for (auto& [prefix, completions] : r.completions) {
       std::sort(completions.begin(), completions.end(),
                 [](const Completion& a, const Completion& b) {
                   if (a.count != b.count) {
@@ -98,10 +103,7 @@ const Reference& Ref() {
                   }
                   return a.term < b.term;
                 });
-      if (completions.size() > 10) {
-        completions.resize(10);
-      }
-      r.topk[prefix] = std::move(completions);
+      r.longest_list = std::max(r.longest_list, completions.size());
     }
     return r;
   }();
@@ -144,12 +146,20 @@ TEST_P(ServingEquivalenceTest, CountTopKAndPerplexityMatchReference) {
     ASSERT_TRUE(count.ok()) << count.status().ToString();
     ASSERT_EQ(*count, 0u);
   }
-  // Top-k completions are byte-identical to the table-derived reference
-  // for every stored prefix (including the empty prefix = top unigrams).
-  for (const auto& [prefix, expected] : ref.topk) {
-    auto completions = (*service)->TopKCompletions(prefix, 10);
-    ASSERT_TRUE(completions.ok()) << completions.status().ToString();
-    ASSERT_EQ(*completions, expected) << SequenceToDebugString(prefix);
+  // Top-k completions are byte-identical to the first k entries of the
+  // table-derived reference for every stored prefix (including the empty
+  // prefix = top unigrams), for k from none to more than any list holds.
+  for (const size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{10},
+                         ref.longest_list + 2}) {
+    for (const auto& [prefix, all] : ref.completions) {
+      const std::vector<Completion> expected(
+          all.begin(), all.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(k, all.size())));
+      auto completions = (*service)->TopKCompletions(prefix, k);
+      ASSERT_TRUE(completions.ok()) << completions.status().ToString();
+      ASSERT_EQ(*completions, expected)
+          << SequenceToDebugString(prefix) << " k=" << k;
+    }
   }
   // Perplexity of a held-out slice is identical across every
   // configuration (same counts -> same arithmetic, bit for bit).

@@ -8,6 +8,8 @@
 //     Corruption naming the path — never a wrong answer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <fstream>
 #include <map>
 #include <set>
@@ -16,10 +18,12 @@
 
 #include "core/brute_force.h"
 #include "encoding/sequence.h"
+#include "encoding/varint.h"
 #include "serve/serving_builder.h"
 #include "serve/sharded_store.h"
 #include "serve/stats_service.h"
 #include "testing/test_util.h"
+#include "util/crc32.h"
 #include "util/temp_dir.h"
 
 namespace ngram::serve {
@@ -154,9 +158,17 @@ TEST(ShardRouterTest, CrossShardPrefixTopK) {
   ASSERT_GT((*service)->store()->num_shards(), 1u);
 
   for (const auto& [prefix, completions] : expected) {
-    auto got = (*service)->TopKCompletions(prefix, completions.size());
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_EQ(*got, completions) << SequenceToDebugString(prefix);
+    // k = 1 keeps only the best; k past the list size returns all of it.
+    for (const size_t k : {size_t{1}, completions.size(),
+                           completions.size() + 2}) {
+      auto got = (*service)->TopKCompletions(prefix, k);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::vector<Completion> want(
+          completions.begin(),
+          completions.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min(k, completions.size())));
+      ASSERT_EQ(*got, want) << SequenceToDebugString(prefix) << " k=" << k;
+    }
   }
 }
 
@@ -188,6 +200,54 @@ TEST(ShardRouterTest, CorruptManifestIsNamedNeverMisread) {
   EXPECT_NE(store.status().ToString().find(kManifestFileName),
             std::string::npos)
       << store.status().ToString();
+}
+
+TEST(ShardRouterTest, ImpossibleManifestCountsAreCorruption) {
+  // CRC-valid manifests whose counts no payload could hold: a shard count
+  // or a block count of 2^60 over a few bytes, and a max order past 32
+  // bits. Each is Corruption naming the manifest, checked before anything
+  // is reserved or narrowed.
+  constexpr uint64_t kHuge = uint64_t{1} << 60;
+  const auto header = [](uint64_t max_order, uint64_t num_shards) {
+    std::string payload;
+    PutVarint64(&payload, 10);  // total_records
+    PutVarint64(&payload, 4);   // total_unigrams
+    PutVarint64(&payload, max_order);
+    PutVarint64(&payload, 16384);  // block_bytes
+    PutVarint64(&payload, num_shards);
+    return payload;
+  };
+  const std::string name = "shard-00000.run";
+  std::string huge_blocks = header(3, 1);
+  PutVarint64(&huge_blocks, name.size());  // file_name
+  huge_blocks += name;
+  PutVarint64(&huge_blocks, 0);      // file_size
+  PutVarint64(&huge_blocks, 0);      // num_records
+  PutVarint64(&huge_blocks, 0);      // min_key (empty)
+  PutVarint64(&huge_blocks, 0);      // max_key (empty)
+  PutVarint64(&huge_blocks, kHuge);  // num_blocks
+  const std::string padding = "\x01\x01\x01";
+  // The max-order payload is otherwise well formed (zero shards, no
+  // trailing bytes), so only the order check can reject it.
+  const std::string payloads[] = {header(3, kHuge) + padding,
+                                  huge_blocks + padding,
+                                  header(uint64_t{1} << 33, 0)};
+  for (const std::string& payload : payloads) {
+    std::string file = "NGSM" + payload;
+    PutFixed32(&file, Crc32(0, payload.data(), payload.size()));
+    auto dir = TempDir::Create("impossible-manifest");
+    ASSERT_TRUE(dir.ok());
+    {
+      std::ofstream out(dir->File(kManifestFileName), std::ios::binary);
+      out.write(file.data(), static_cast<std::streamsize>(file.size()));
+    }
+    auto store = ShardedStatsStore::Open(dir->path().string());
+    ASSERT_FALSE(store.ok());
+    EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
+    EXPECT_NE(store.status().ToString().find(kManifestFileName),
+              std::string::npos)
+        << store.status().ToString();
+  }
 }
 
 TEST(ShardRouterTest, BitFlippedSegmentIsNamedNeverMisread) {

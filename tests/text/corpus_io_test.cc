@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "corpus/synthetic.h"
+#include "encoding/varint.h"
 #include "mapreduce/io_env.h"
 #include "testing/test_util.h"
 #include "util/temp_dir.h"
@@ -81,6 +82,34 @@ TEST_F(CorpusIoTest, RejectsTruncatedFile) {
       << content.substr(0, content.size() / 2);
   Corpus loaded;
   EXPECT_TRUE(ReadCorpusBinary(path, &loaded).IsCorruption());
+}
+
+TEST_F(CorpusIoTest, RejectsImpossibleCounts) {
+  // The right magic, then a document count, a sentence count or a
+  // sentence length of 2^60 over a handful of bytes: each is Corruption,
+  // checked before anything is reserved for it.
+  constexpr uint64_t kHuge = uint64_t{1} << 60;
+  std::string huge_docs = "NGC1";
+  PutVarint64(&huge_docs, kHuge);
+  std::string huge_sentences = "NGC1";
+  PutVarint64(&huge_sentences, 1);        // One document:
+  PutVarint64(&huge_sentences, 7);        //   id,
+  PutVarintSigned64(&huge_sentences, 0);  //   year,
+  PutVarint64(&huge_sentences, kHuge);    //   sentence count.
+  std::string huge_length = "NGC1";
+  PutVarint64(&huge_length, 1);
+  PutVarint64(&huge_length, 7);
+  PutVarintSigned64(&huge_length, 0);
+  PutVarint64(&huge_length, 1);      // One sentence,
+  PutVarint64(&huge_length, kHuge);  //   of this many terms.
+  for (std::string bytes : {huge_docs, huge_sentences, huge_length}) {
+    bytes += "\x01\x01\x01";
+    const std::string path = dir_->File("huge.ngc");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    Corpus loaded;
+    const Status st = ReadCorpusBinary(path, &loaded);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  }
 }
 
 TEST_F(CorpusIoTest, FaultEnvInjectsWriteError) {
