@@ -207,16 +207,16 @@ void BM_DecodeBlock(::benchmark::State& state) {
     }
   }
   const std::string path = dir->File("table.run");
-  auto writer = mr::NewRunWriter(path, mr::RunWriterOptions{});
-  Status st = writer->Open();
+  mr::RunWriter writer(path, mr::RunWriterOptions{});
+  Status st = writer.Open();
   std::string value;
   for (auto it = table.begin(); st.ok() && it != table.end(); ++it) {
     value.clear();
     PutVarint64(&value, it->second);
-    st = writer->Append(Slice(it->first), Slice(value));
+    st = writer.Append(Slice(it->first), Slice(value));
   }
   if (st.ok()) {
-    st = writer->Close();
+    st = writer.Close();
   }
   if (!st.ok()) {
     state.SkipWithError(st.ToString().c_str());

@@ -7,13 +7,13 @@
 // intermediate_mb is the extra sequential I/O the bound costs, open
 // sources per reduce task drop from `spills` to `merge_factor`.
 //
-// The RunFormat sweep compares compress_runs on/off in the same
-// spill-heavy regime: run_ratio is RUN_BYTES_RAW / RUN_BYTES_WRITTEN
-// (the at-rest shrink of every spill, map-side final merge, and
-// reduce-side intermediate pass). Scale it up with NGRAM_BENCH_NYT_DOCS /
-// NGRAM_BENCH_CW_DOCS (BENCH_runfile.json records 4x fig6) — fewer
-// intermediate bytes is exactly what shifts the page-cache crossover the
-// bounded merge pays for.
+// The RunBytes sweep measures the block run format in the same
+// spill-heavy regime: run_ratio is RUN_BYTES_RAW / RUN_BYTES_WRITTEN (the
+// at-rest shrink of every spill, map-side final merge, and reduce-side
+// intermediate pass against the in-memory record framing). Scale it up
+// with NGRAM_BENCH_NYT_DOCS / NGRAM_BENCH_CW_DOCS (BENCH_runfile.json
+// records 4x fig6) — fewer intermediate bytes is exactly what shifts the
+// page-cache crossover the bounded merge pays for.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -82,48 +82,44 @@ void RegisterSpillSweep(const Dataset& dataset) {
   }
 }
 
-void RegisterFormatSweep(const Dataset& dataset) {
+void RegisterRunBytesSweep(const Dataset& dataset) {
   const Method methods[] = {Method::kNaive, Method::kSuffixSigma};
   for (Method method : methods) {
-    for (bool compress : {false, true}) {
-      const std::string name =
-          std::string("RunFormat/") + dataset.name + "/" +
-          MethodName(method) + (compress ? "/block" : "/raw");
-      ::benchmark::RegisterBenchmark(
-          name.c_str(),
-          [&dataset, method, compress](::benchmark::State& state) {
-            NgramJobOptions options =
-                BenchOptions(method, dataset.default_tau, 5);
-            options.sort_buffer_bytes = 128 << 10;  // Spill-heavy.
-            options.merge_factor = 16;
-            options.compress_runs = compress;
-            const CorpusContext& ctx = dataset.context();
-            for (auto _ : state) {
-              auto run = ComputeNgramStatistics(ctx, options);
-              if (!run.ok()) {
-                state.SkipWithError(run.status().ToString().c_str());
-                return;
-              }
-              state.SetIterationTime(run->metrics.total_wallclock_ms() /
-                                     1000.0);
-              const double raw = static_cast<double>(
-                  run->metrics.TotalCounter(mr::kRunBytesRaw));
-              const double written = static_cast<double>(
-                  run->metrics.TotalCounter(mr::kRunBytesWritten));
-              state.counters["run_mb_raw"] = raw / (1024.0 * 1024.0);
-              state.counters["run_mb_written"] =
-                  written / (1024.0 * 1024.0);
-              state.counters["run_ratio"] =
-                  written > 0 ? raw / written : 0.0;
-              state.counters["reduce_ms"] =
-                  run->metrics.total_reduce_phase_ms();
-              state.counters["map_ms"] = run->metrics.total_map_phase_ms();
+    const std::string name = std::string("RunBytes/") + dataset.name +
+                             "/" + MethodName(method);
+    ::benchmark::RegisterBenchmark(
+        name.c_str(),
+        [&dataset, method](::benchmark::State& state) {
+          NgramJobOptions options =
+              BenchOptions(method, dataset.default_tau, 5);
+          options.sort_buffer_bytes = 128 << 10;  // Spill-heavy.
+          options.merge_factor = 16;
+          const CorpusContext& ctx = dataset.context();
+          for (auto _ : state) {
+            auto run = ComputeNgramStatistics(ctx, options);
+            if (!run.ok()) {
+              state.SkipWithError(run.status().ToString().c_str());
+              return;
             }
-          })
-          ->UseManualTime()
-          ->Iterations(1)
-          ->Unit(::benchmark::kMillisecond);
-    }
+            state.SetIterationTime(run->metrics.total_wallclock_ms() /
+                                   1000.0);
+            const double raw = static_cast<double>(
+                run->metrics.TotalCounter(mr::kRunBytesRaw));
+            const double written = static_cast<double>(
+                run->metrics.TotalCounter(mr::kRunBytesWritten));
+            state.counters["run_mb_raw"] = raw / (1024.0 * 1024.0);
+            state.counters["run_mb_written"] =
+                written / (1024.0 * 1024.0);
+            state.counters["run_ratio"] =
+                written > 0 ? raw / written : 0.0;
+            state.counters["reduce_ms"] =
+                run->metrics.total_reduce_phase_ms();
+            state.counters["map_ms"] = run->metrics.total_map_phase_ms();
+          }
+        })
+        ->UseManualTime()
+        ->Iterations(1)
+        ->Unit(::benchmark::kMillisecond);
   }
 }
 
@@ -185,8 +181,8 @@ int main(int argc, char** argv) {
   ::benchmark::Initialize(&argc, argv);
   RegisterSpillSweep(Nyt());
   RegisterSpillSweep(Cw());
-  RegisterFormatSweep(Nyt());
-  RegisterFormatSweep(Cw());
+  RegisterRunBytesSweep(Nyt());
+  RegisterRunBytesSweep(Cw());
   RegisterFetchSweep(Nyt());
   RegisterFetchSweep(Cw());
   ::benchmark::RunSpecifiedBenchmarks();

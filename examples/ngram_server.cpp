@@ -14,12 +14,12 @@
 //   reload                   re-open the directory, atomically swap
 //   quit                     exit
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_numbers.h"
 #include "serve/stats_service.h"
 
 namespace {
@@ -56,10 +56,13 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--cache-kb=", 0) == 0) {
-      options.cache_bytes =
-          static_cast<size_t>(atoll(arg.c_str() + 11)) * 1024;
+      if (!cli::ParseKib(arg.substr(11), &options.cache_bytes)) {
+        return Usage();
+      }
     } else if (arg.rfind("--order=", 0) == 0) {
-      lm_options.order = static_cast<uint32_t>(atoi(arg.c_str() + 8));
+      if (!cli::ParseCount(arg.substr(8), &lm_options.order)) {
+        return Usage();
+      }
     } else {
       return Usage();
     }

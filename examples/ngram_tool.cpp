@@ -5,7 +5,6 @@
 //   ngram_tool stats <in.ngc> <out.ngs> --method=suffix-sigma --tau=10
 //               [--sigma=5] [--mode=cf|df] [--reducers=8] [--slots=4]
 //               [--sort-buffer-kb=N] [--merge-factor=N] [--shuffle-slots=N]
-//               [--compress|--no-compress] [--checksum]
 //               [--max-task-attempts=N] [--chaos-seed=N]
 //               [--fetch-shuffle] [--fetch-transport=inproc|socket]
 //               [--shuffle-socket=PATH]
@@ -14,10 +13,12 @@
 //   ngram_tool info <in.ngc>
 //   ngram_tool build-serving <in.ngs> <out_dir> [--shards=N] [--block-kb=N]
 //   ngram_tool serve-shuffle <socket-path>
+//
+// Every numeric argument must be a plain unsigned decimal that fits its
+// option (cli_numbers.h); anything else prints usage and exits 2.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -25,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_numbers.h"
 #include "core/maximality.h"
 #include "core/runner.h"
 #include "core/stats_io.h"
@@ -47,7 +49,6 @@ int Usage() {
           "             [--sigma=N] [--mode=cf|df] [--reducers=N]\n"
           "             [--slots=N] [--sort-buffer-kb=N] [--merge-factor=N]\n"
           "             [--shuffle-slots=N]\n"
-          "             [--compress|--no-compress] [--checksum]\n"
           "             [--max-task-attempts=N] [--chaos-seed=N]\n"
           "             [--fetch-shuffle] [--fetch-transport=inproc|socket]\n"
           "             [--shuffle-socket=PATH]\n"
@@ -75,10 +76,13 @@ int CmdGenerate(const std::vector<std::string>& args) {
     return Usage();
   }
   const std::string kind = args[0];
-  const uint64_t docs = static_cast<uint64_t>(atoll(args[1].c_str()));
+  uint64_t docs = 0;
   const std::string out = args[2];
-  const uint64_t seed =
-      args.size() > 3 ? static_cast<uint64_t>(atoll(args[3].c_str())) : 1;
+  uint64_t seed = 1;
+  if (!cli::ParseCount(args[1], &docs) ||
+      (args.size() > 3 && !cli::ParseCount(args[3], &seed))) {
+    return Usage();
+  }
   SyntheticCorpusOptions options;
   if (kind == "nyt") {
     options = NytLikeOptions(docs, seed);
@@ -126,35 +130,46 @@ int CmdStats(const std::vector<std::string>& args) {
         return Usage();
       }
     } else if (ParseFlag(args[i], "tau", &value)) {
-      options.tau = static_cast<uint64_t>(atoll(value.c_str()));
+      if (!cli::ParseCount(value, &options.tau)) {
+        return Usage();
+      }
     } else if (ParseFlag(args[i], "sigma", &value)) {
-      options.sigma = static_cast<uint32_t>(atoi(value.c_str()));
+      if (!cli::ParseCount(value, &options.sigma)) {
+        return Usage();
+      }
     } else if (ParseFlag(args[i], "mode", &value)) {
       options.frequency_mode = value == "df" ? FrequencyMode::kDocument
                                              : FrequencyMode::kCollection;
     } else if (ParseFlag(args[i], "reducers", &value)) {
-      options.num_reducers = static_cast<uint32_t>(atoi(value.c_str()));
+      if (!cli::ParseCount(value, &options.num_reducers)) {
+        return Usage();
+      }
     } else if (ParseFlag(args[i], "slots", &value)) {
-      options.map_slots = options.reduce_slots =
-          static_cast<uint32_t>(atoi(value.c_str()));
+      if (!cli::ParseCount(value, &options.map_slots)) {
+        return Usage();
+      }
+      options.reduce_slots = options.map_slots;
     } else if (ParseFlag(args[i], "sort-buffer-kb", &value)) {
-      options.sort_buffer_bytes =
-          static_cast<size_t>(atoll(value.c_str())) * 1024;
+      if (!cli::ParseKib(value, &options.sort_buffer_bytes)) {
+        return Usage();
+      }
     } else if (ParseFlag(args[i], "merge-factor", &value)) {
-      options.merge_factor = static_cast<uint32_t>(atoi(value.c_str()));
+      if (!cli::ParseCount(value, &options.merge_factor)) {
+        return Usage();
+      }
     } else if (ParseFlag(args[i], "shuffle-slots", &value)) {
-      options.shuffle_slots = static_cast<uint32_t>(atoi(value.c_str()));
-    } else if (args[i] == "--compress") {
-      options.compress_runs = true;  // The default; kept for symmetry.
-    } else if (args[i] == "--no-compress") {
-      options.compress_runs = false;
-    } else if (args[i] == "--checksum") {
-      options.checksum_spills = true;
+      if (!cli::ParseCount(value, &options.shuffle_slots)) {
+        return Usage();
+      }
     } else if (ParseFlag(args[i], "max-task-attempts", &value)) {
-      options.max_task_attempts = static_cast<uint32_t>(atoi(value.c_str()));
+      if (!cli::ParseCount(value, &options.max_task_attempts)) {
+        return Usage();
+      }
     } else if (ParseFlag(args[i], "chaos-seed", &value)) {
+      if (!cli::ParseCount(value, &chaos_seed)) {
+        return Usage();
+      }
       have_chaos_seed = true;
-      chaos_seed = static_cast<uint64_t>(atoll(value.c_str()));
     } else if (args[i] == "--fetch-shuffle") {
       options.fetch_shuffle = true;
     } else if (ParseFlag(args[i], "fetch-transport", &value)) {
@@ -249,11 +264,9 @@ int CmdStats(const std::vector<std::string>& args) {
         mr::kFetchRetries,        mr::kFetchWaitMs,
     };
     printf("  shuffle: sort-buffer=%llu KiB merge-factor=%u "
-           "shuffle-slots=%u compress=%s checksum=%s\n",
+           "shuffle-slots=%u\n",
            static_cast<unsigned long long>(options.sort_buffer_bytes / 1024),
-           options.merge_factor, options.shuffle_slots,
-           options.compress_runs ? "on" : "off",
-           options.checksum_spills ? "on" : "off");
+           options.merge_factor, options.shuffle_slots);
     for (const char* name : counter_names) {
       printf("  %-31s %llu\n", name,
              static_cast<unsigned long long>(
@@ -274,8 +287,10 @@ int CmdTop(const std::vector<std::string>& args) {
   if (args.empty()) {
     return Usage();
   }
-  const size_t k =
-      args.size() > 1 ? static_cast<size_t>(atoll(args[1].c_str())) : 20;
+  size_t k = 20;
+  if (args.size() > 1 && !cli::ParseCount(args[1], &k)) {
+    return Usage();
+  }
   NgramStatistics stats;
   Status st = ReadStatsBinary(args[0], &stats);
   if (!st.ok()) {
@@ -318,9 +333,13 @@ int CmdBuildServing(const std::vector<std::string>& args) {
   for (size_t i = 2; i < args.size(); ++i) {
     std::string value;
     if (ParseFlag(args[i], "shards", &value)) {
-      options.num_shards = static_cast<uint32_t>(atoi(value.c_str()));
+      if (!cli::ParseCount(value, &options.num_shards)) {
+        return Usage();
+      }
     } else if (ParseFlag(args[i], "block-kb", &value)) {
-      options.block_bytes = static_cast<size_t>(atoll(value.c_str())) * 1024;
+      if (!cli::ParseKib(value, &options.block_bytes)) {
+        return Usage();
+      }
     } else {
       return Usage();
     }

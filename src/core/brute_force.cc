@@ -1,7 +1,10 @@
 #include "core/brute_force.h"
 
+#include <algorithm>
 #include <set>
 #include <unordered_set>
+
+#include "core/input.h"
 
 namespace ngram {
 
@@ -21,6 +24,20 @@ void ForEachNgram(const Corpus& corpus, uint32_t sigma, Fn fn) {
           fn(doc, ngram);
         }
       }
+    }
+  }
+}
+
+/// Invokes fn(|piece|) for every piece a mapper sees: one input row per
+/// sentence, split by ForEachPieceRange exactly as the mappers split it.
+template <typename Fn>
+void ForEachMapperPiece(const Corpus& corpus, uint64_t tau,
+                        bool document_splits, Fn fn) {
+  const UnigramFrequencies unigram_cf = ComputeUnigramFrequencies(corpus);
+  for (const auto& doc : corpus.docs) {
+    for (const auto& sentence : doc.sentences) {
+      ForEachPieceRange(sentence, document_splits, unigram_cf, tau,
+                        [&](size_t b, size_t e) { fn(e - b); });
     }
   }
 }
@@ -133,6 +150,28 @@ std::map<TermSequence, TimeSeries> BruteForceTimeSeries(const Corpus& corpus,
     }
   }
   return series;
+}
+
+uint64_t BruteForceNaiveMapOutputRecords(const Corpus& corpus, uint64_t tau,
+                                         uint32_t sigma,
+                                         bool document_splits) {
+  uint64_t records = 0;
+  ForEachMapperPiece(corpus, tau, document_splits, [&](size_t len) {
+    const size_t max_n = sigma == 0 ? len : std::min<size_t>(sigma, len);
+    for (size_t n = 1; n <= max_n; ++n) {
+      records += len - n + 1;
+    }
+  });
+  return records;
+}
+
+uint64_t BruteForceSuffixSigmaMapOutputRecords(const Corpus& corpus,
+                                               uint64_t tau,
+                                               bool document_splits) {
+  uint64_t records = 0;
+  ForEachMapperPiece(corpus, tau, document_splits,
+                     [&](size_t len) { records += len; });
+  return records;
 }
 
 }  // namespace ngram

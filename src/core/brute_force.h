@@ -37,4 +37,23 @@ std::map<TermSequence, TimeSeries> BruteForceTimeSeries(const Corpus& corpus,
                                                         uint64_t tau,
                                                         uint32_t sigma);
 
+// Work oracles: the exact MAP_OUTPUT_RECORDS of a method's job, counted
+// over the pieces its mappers see — one input row per sentence, split at
+// terms with cf < tau when `document_splits` is on (ForEachPieceRange in
+// core/input.h). Output equality cannot see wasted or skipped work; these
+// counts can.
+
+/// NAIVE (Algorithm 1): every n-gram with n <= sigma (0 = unbounded) of
+/// every piece, i.e. the sum over pieces of
+/// sum_{n=1..sigma} max(0, |piece| - n + 1).
+uint64_t BruteForceNaiveMapOutputRecords(const Corpus& corpus, uint64_t tau,
+                                         uint32_t sigma,
+                                         bool document_splits);
+
+/// SUFFIX-sigma (Algorithm 4): one truncated suffix per position, i.e.
+/// the sum over pieces of |piece|.
+uint64_t BruteForceSuffixSigmaMapOutputRecords(const Corpus& corpus,
+                                               uint64_t tau,
+                                               bool document_splits);
+
 }  // namespace ngram

@@ -105,8 +105,6 @@ inline mr::JobConfig MakeBaseJobConfig(const NgramJobOptions& options,
   config.sort_buffer_bytes = options.sort_buffer_bytes;
   config.merge_factor = options.merge_factor;
   config.shuffle_slots = options.shuffle_slots;
-  config.compress_runs = options.compress_runs;
-  config.checksum_spills = options.checksum_spills;
   config.job_overhead_ms = options.job_overhead_ms;
   config.work_dir = options.work_dir;
   config.max_task_attempts = options.max_task_attempts;

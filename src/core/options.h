@@ -103,18 +103,6 @@ struct NgramJobOptions {
   /// or off; ignored when merge_factor == 0.
   uint32_t shuffle_slots = 0;
 
-  /// Persist shuffle runs (spills, merge outputs) in the prefix-compressed
-  /// block format with per-block CRC-32s verified as runs are read back
-  /// (see mapreduce/runfile.h). Sorted runs share long key prefixes, so
-  /// spill-heavy methods write far fewer intermediate bytes. Off = raw
-  /// framed records. Output is byte-identical either way.
-  bool compress_runs = true;
-
-  /// CRC-32 every *raw-format* spill run and verify it before it is read
-  /// back (end-to-end shuffle integrity with compress_runs off; costs one
-  /// table lookup per byte). Compressed runs are always CRC-protected.
-  bool checksum_spills = false;
-
   /// Fixed per-job overhead (ms) modelling Hadoop job launch/teardown; the
   /// "administrative fix cost" that penalizes multi-job methods.
   double job_overhead_ms = 0.0;

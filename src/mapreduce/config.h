@@ -48,28 +48,6 @@ struct JobConfig {
   /// Size of the streaming spill write buffer (per spilling map task).
   size_t spill_buffer_bytes = SpillWriter::kDefaultBufferBytes;
 
-  /// Persist every run — spill runs, map-side final merges, reduce-side
-  /// intermediate passes — in the prefix-compressed block format
-  /// (runfile.h): front-coded keys with restart points and a CRC-32
-  /// trailer per block. Runs are sorted, so adjacent keys share long
-  /// prefixes and spill-heavy jobs write far fewer bytes
-  /// (RUN_BYTES_WRITTEN vs RUN_BYTES_RAW); block CRCs are verified as
-  /// blocks are decoded, so on-disk integrity checking is inherent —
-  /// no separate read pass, no `checksum_spills` needed. Off = the raw
-  /// [klen][vlen][key][value] framing. The record *stream* is identical
-  /// either way: job output is byte-identical with the knob on or off.
-  bool compress_runs = true;
-
-  /// Maintain a CRC-32 per *raw-format* spill file (integrity checking
-  /// for long jobs with compress_runs off; block-format runs carry
-  /// per-block CRCs unconditionally and ignore this knob;
-  /// off by default — it costs one table lookup per spilled byte). When
-  /// on, every checksummed run is verified once before its first
-  /// reduce-side open (and every intermediate merge output before it is
-  /// re-read); a mismatch fails the reading task with Corruption, which
-  /// flows through the normal task-retry machinery.
-  bool checksum_spills = false;
-
   /// Maximum merge fan-in (Hadoop's `io.sort.factor`). Bounds how many
   /// runs are opened simultaneously anywhere in the pipeline:
   ///   - a map task that finishes with more than `merge_factor` runs

@@ -47,7 +47,7 @@ inline constexpr const char* kReduceIntermediateMergeBytes =
 /// Bytes every persisted run (spill, map-side final merge, reduce-side
 /// intermediate pass) would occupy in raw [klen][vlen][key][value]
 /// framing vs the bytes actually written at rest — the observable
-/// compression ratio of JobConfig::compress_runs (equal when off).
+/// compression ratio of the block run format (runfile.h).
 inline constexpr const char* kRunBytesRaw = "RUN_BYTES_RAW";
 inline constexpr const char* kRunBytesWritten = "RUN_BYTES_WRITTEN";
 inline constexpr const char* kTaskRetries = "TASK_RETRIES";

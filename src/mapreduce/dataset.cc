@@ -11,13 +11,17 @@ namespace ngram::mr {
 namespace {
 
 // Self-describing header of a serialized RecordTable: magic, version, the
-// at-rest format of the record region, and the expected record/byte
-// counts. The counts are what make a *cleanly truncated* file detectable:
-// per-block CRCs catch flipped bits, but a file that lost whole trailing
-// blocks (partial copy, disk-full crash) still reads as a valid shorter
-// stream — Load() cross-checks what it decoded against the header.
+// at-rest format of the record region (always kTableBlockFormat), and the
+// expected record/byte counts. The counts are what make a *cleanly
+// truncated* file detectable: per-block CRCs catch flipped bits, but a
+// file that lost whole trailing blocks (partial copy, disk-full crash)
+// still reads as a valid shorter stream — Load() cross-checks what it
+// decoded against the header.
 constexpr char kTableMagic[4] = {'N', 'G', 'R', 'T'};
 constexpr uint8_t kTableVersion = 1;
+// Format byte naming the block run format (runfile.h), the only one
+// Load() accepts.
+constexpr uint8_t kTableBlockFormat = 1;
 // magic[4] version format pad[2] num_records[8] byte_size[8].
 constexpr size_t kTableHeaderBytes = 24;
 
@@ -179,25 +183,23 @@ std::unique_ptr<RecordReader> RecordTable::NewReader(const View& view) const {
   return std::make_unique<RecordTableReader>(&chunks_, view);
 }
 
-Status RecordTable::Save(const std::string& path, bool compress,
-                         IoEnv* env) const {
+Status RecordTable::Save(const std::string& path, IoEnv* env) const {
   RunWriterOptions options;
-  options.compress = compress;
   options.env = env;
   options.preamble.assign(kTableMagic, sizeof(kTableMagic));
   options.preamble.push_back(static_cast<char>(kTableVersion));
-  options.preamble.push_back(compress ? 1 : 0);
+  options.preamble.push_back(static_cast<char>(kTableBlockFormat));
   options.preamble.append(2, '\0');
   AppendFixed64(&options.preamble, num_records_);
   AppendFixed64(&options.preamble, byte_size_);
-  std::unique_ptr<RunWriter> writer = NewRunWriter(path, options);
-  NGRAM_RETURN_NOT_OK(writer->Open());
+  RunWriter writer(path, options);
+  NGRAM_RETURN_NOT_OK(writer.Open());
   auto reader = NewReader();
   while (reader->Next()) {
-    NGRAM_RETURN_NOT_OK(writer->Append(reader->key(), reader->value()));
+    NGRAM_RETURN_NOT_OK(writer.Append(reader->key(), reader->value()));
   }
   NGRAM_RETURN_NOT_OK(reader->status());
-  return writer->Close();  // Failure unlinks the partial file.
+  return writer.Close();  // Failure unlinks the partial file.
 }
 
 Status RecordTable::Load(const std::string& path, RecordTable* table,
@@ -227,15 +229,16 @@ Status RecordTable::Load(const std::string& path, RecordTable* table,
   if (static_cast<uint8_t>(header[4]) != kTableVersion) {
     return Status::Corruption("unsupported table version in " + path);
   }
-  const RunFormat format =
-      header[5] != 0 ? RunFormat::kBlocks : RunFormat::kRawRecords;
+  if (static_cast<uint8_t>(header[5]) != kTableBlockFormat) {
+    return Status::Corruption("unsupported table format byte in " + path);
+  }
   const uint64_t expected_records = DecodeFixed64At(header + 8);
   const uint64_t expected_bytes = DecodeFixed64At(header + 16);
 
   table->Clear();
   FileRecordReader reader(path, kTableHeaderBytes,
                           file_size - kTableHeaderBytes,
-                          FileRecordReader::kDefaultBufferBytes, format, env);
+                          FileRecordReader::kDefaultBufferBytes, env);
   while (reader.Next()) {
     table->Append(reader.key(), reader.value());
   }

@@ -344,7 +344,7 @@ Status FaultWritableFile::Write(const char* data, size_t n) {
   if (plan.kind == FaultPlan::Kind::kBitFlip &&
       env_->ShouldFire(FaultPlan::Kind::kBitFlip, op) && n > 0) {
     // Silent corruption: one bit of this buffer lands inverted on disk
-    // and the writer never learns. Only checksums can catch this.
+    // and the writer never learns. Only the block CRCs can catch this.
     std::vector<char> flipped(data, data + n);
     const uint64_t bit = plan.bit % (static_cast<uint64_t>(n) * 8);
     flipped[bit / 8] ^= static_cast<char>(1u << (bit % 8));

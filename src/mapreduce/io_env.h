@@ -1,14 +1,14 @@
 // Env-style I/O indirection for every persisted byte path of the runtime.
 //
 // All file I/O performed by the shuffle and job-boundary machinery —
-// SpillWriter (and therefore the block run writer), FileRecordReader,
-// RecordTable::Save/Load, and spill CRC verification — routes through an
-// IoEnv: open-for-read, open-for-write, read, write, sync, rename, unlink,
-// file-size. Production uses the stdio passthrough singleton
-// (IoEnv::Default()); tests and chaos harnesses substitute a FaultEnv that
-// executes a deterministic, seed-derived FaultPlan (EIO on the Nth read,
-// ENOSPC / short write on the Nth write, a silent bit flip in the Nth
-// written buffer, a failure between write and commit-rename).
+// SpillWriter (and therefore RunWriter), FileRecordReader, and
+// RecordTable::Save/Load — routes through an IoEnv: open-for-read,
+// open-for-write, read, write, sync, rename, unlink, file-size.
+// Production uses the stdio passthrough singleton (IoEnv::Default());
+// tests and chaos harnesses substitute a FaultEnv that executes a
+// deterministic, seed-derived FaultPlan (EIO on the Nth read, ENOSPC /
+// short write on the Nth write, a silent bit flip in the Nth written
+// buffer, a failure between write and commit-rename).
 //
 // Commit protocol: writers stage bytes in "<path>.tmp" and publish with
 // Sync() + Rename() on Close() (SpillWriter), so a half-written run is

@@ -345,13 +345,6 @@ Result<JobMetrics> RunJob(
   MapOutputRegistry map_outputs;
   map_outputs.Resize(num_map_tasks);
 
-  // Each checksummed run file is CRC-verified once, by whichever reduce
-  // task or eager merge worker opens it first (a no-op registry unless
-  // checksum_spills). Keyed by path, so a regenerated run — fresh
-  // attempt-scoped name — gets a fresh verification instead of
-  // inheriting the corrupt file's verdict.
-  RunCrcVerifier crc_verifier;
-
   // Shuffle runs are job-private: whatever run files are still on disk
   // when the driver leaves — success or any early error return — are
   // removed, so a user-provided work_dir comes back clean.
@@ -465,9 +458,6 @@ Result<JobMetrics> RunJob(
     shuffle_options.comparator = config.sort_comparator;
     shuffle_options.work_dir = work_dir;
     shuffle_options.spill_buffer_bytes = config.spill_buffer_bytes;
-    shuffle_options.compress = config.compress_runs;
-    shuffle_options.checksum = config.checksum_spills;
-    shuffle_options.verifier = &crc_verifier;
     shuffle_options.env = io_env;
     // In fetch mode the eager mergers read the fetched clones, like
     // every other reduce-side consumer.
@@ -514,8 +504,6 @@ Result<JobMetrics> RunJob(
       opts.combiner = combiner;
       opts.work_dir = work_dir;
       opts.spill_buffer_bytes = config.spill_buffer_bytes;
-      opts.compress_runs = config.compress_runs;
-      opts.checksum_spills = config.checksum_spills;
       // Served runs must be file-backed: force the final flush to disk in
       // fetch mode (the record stream — and so job output — is unchanged).
       opts.persist_final_flush = fetch_shuffle;
@@ -576,8 +564,6 @@ Result<JobMetrics> RunJob(
         merge_options.name_prefix =
             "map-" + std::to_string(t) + "-a" + std::to_string(attempt_id);
         merge_options.spill_buffer_bytes = config.spill_buffer_bytes;
-        merge_options.compress = config.compress_runs;
-        merge_options.checksum = config.checksum_spills;
         merge_options.map_side = true;
         merge_options.combiner = combiner;
         merge_options.counters = &tc;
@@ -843,9 +829,6 @@ Result<JobMetrics> RunJob(
           merge_options.name_prefix = "reduce-" + std::to_string(r) + "-a" +
                                       std::to_string(attempt_seq);
           merge_options.spill_buffer_bytes = config.spill_buffer_bytes;
-          merge_options.compress = config.compress_runs;
-          merge_options.checksum = config.checksum_spills;
-          merge_options.verifier = &crc_verifier;
           merge_options.counters = &tc;
           merge_options.env = io_env;
           ReduceMergeResult merge_inputs;

@@ -5,7 +5,6 @@
 
 #include "mapreduce/context.h"
 #include "mapreduce/runfile.h"
-#include "mapreduce/spill_writer.h"
 
 namespace ngram::mr {
 
@@ -78,10 +77,7 @@ Status DrainMerger(KWayMerger* merger, const RawCombineFn& combiner,
 
 RunWriterOptions MergeWriterOptions(const ExternalMergeOptions& options) {
   RunWriterOptions writer_options;
-  writer_options.compress = options.compress;
-  writer_options.buffer_bytes =
-      std::max<size_t>(1, options.spill_buffer_bytes);
-  writer_options.checksum = options.checksum;
+  writer_options.buffer_bytes = options.spill_buffer_bytes;
   writer_options.env = options.env;
   return writer_options;
 }
@@ -126,22 +122,11 @@ Status MergeRunGroup(const ExternalMergeOptions& options,
                      uint32_t num_partitions,
                      const std::vector<const SpillRun*>& group,
                      uint64_t seq, SpillRun* out) {
-  if (options.checksum) {
-    // Map-side merge inputs are task-local; each is read (and therefore
-    // verified) exactly once, no shared registry needed.
-    for (const SpillRun* run : group) {
-      if (run->has_crc && !run->in_memory()) {
-        NGRAM_RETURN_NOT_OK(
-            VerifySpillFileCrc32(run->file_path, run->crc32, options.env));
-      }
-    }
-  }
   out->segments.assign(num_partitions, RunSegment{});
   out->file_path = MergeOutputPath(options, seq);
 
-  std::unique_ptr<RunWriter> writer =
-      NewRunWriter(out->file_path, MergeWriterOptions(options));
-  NGRAM_RETURN_NOT_OK(writer->Open());
+  RunWriter writer(out->file_path, MergeWriterOptions(options));
+  NGRAM_RETURN_NOT_OK(writer.Open());
 
   for (uint32_t p = 0; p < num_partitions; ++p) {
     std::vector<std::unique_ptr<RecordReader>> sources;
@@ -154,31 +139,25 @@ Status MergeRunGroup(const ExternalMergeOptions& options,
     }
     KWayMerger merger(std::move(sources), options.comparator);
     RunSegment& seg = out->segments[p];
-    seg.offset = writer->bytes_written();
-    const uint64_t records_before = writer->records_written();
-    RunWriterSink sink(writer.get());
+    seg.offset = writer.bytes_written();
+    const uint64_t records_before = writer.records_written();
     Status st = DrainMerger(&merger, options.combiner, options.comparator,
-                            &sink, options.counters);
+                            &writer, options.counters);
     if (st.ok()) {
-      st = writer->FinishSegment();  // Segments cover whole blocks.
+      st = writer.FinishSegment();  // Segments cover whole blocks.
     }
     if (!st.ok()) {
-      writer->Abandon();  // Unlinks the partial merge output.
+      writer.Abandon();  // Unlinks the partial merge output.
       return st;
     }
-    seg.length = writer->bytes_written() - seg.offset;
-    seg.num_records = writer->records_written() - records_before;
+    seg.length = writer.bytes_written() - seg.offset;
+    seg.num_records = writer.records_written() - records_before;
     if (options.combiner) {
       options.counters->Increment(kCombineOutputRecords, seg.num_records);
     }
   }
-  NGRAM_RETURN_NOT_OK(writer->Close());  // Close() unlinks on failure.
-  out->block_format = writer->block_format();
-  if (options.checksum && !out->block_format) {
-    out->crc32 = writer->crc32();
-    out->has_crc = true;
-  }
-  ChargeMergePass(options, *writer);
+  NGRAM_RETURN_NOT_OK(writer.Close());  // Close() unlinks on failure.
+  ChargeMergePass(options, writer);
   return Status::OK();
 }
 
@@ -191,9 +170,6 @@ struct PendingSource {
   const SpillRun* run = nullptr;  // Null for intermediates.
   std::string path;               // Intermediate file.
   uint64_t length = 0;
-  uint32_t crc32 = 0;
-  bool has_crc = false;
-  bool block_format = false;      // Intermediate file's at-rest format.
 };
 
 /// True when opening this source costs an fd and a read buffer — the two
@@ -219,54 +195,34 @@ uint64_t SourceBytes(const PendingSource& source, uint32_t partition) {
 }
 
 /// Merges already-open `sources` into one single-partition intermediate
-/// run file at `merged->path`, filling in its extent and CRC.
+/// run file at `merged->path`, filling in its extent.
 Status MergeToIntermediate(const ExternalMergeOptions& options,
                            std::vector<std::unique_ptr<RecordReader>> sources,
                            PendingSource* merged) {
-  std::unique_ptr<RunWriter> writer =
-      NewRunWriter(merged->path, MergeWriterOptions(options));
-  NGRAM_RETURN_NOT_OK(writer->Open());
+  RunWriter writer(merged->path, MergeWriterOptions(options));
+  NGRAM_RETURN_NOT_OK(writer.Open());
   KWayMerger merger(std::move(sources), options.comparator);
-  RunWriterSink sink(writer.get());
   Status st = DrainMerger(&merger, /*combiner=*/nullptr, options.comparator,
-                          &sink, options.counters);
+                          &writer, options.counters);
   if (!st.ok()) {
-    writer->Abandon();
+    writer.Abandon();
     return st;
   }
-  NGRAM_RETURN_NOT_OK(writer->Close());
-  merged->length = writer->bytes_written();
-  merged->block_format = writer->block_format();
-  if (options.checksum && !merged->block_format) {
-    merged->crc32 = writer->crc32();
-    merged->has_crc = true;
-  }
-  ChargeMergePass(options, *writer);
+  NGRAM_RETURN_NOT_OK(writer.Close());
+  merged->length = writer.bytes_written();
+  ChargeMergePass(options, writer);
   return Status::OK();
 }
 
-Status OpenPendingSource(const ExternalMergeOptions& options,
-                         const PendingSource& source, uint32_t partition,
-                         std::unique_ptr<RecordReader>* reader) {
+std::unique_ptr<RecordReader> OpenPendingSource(
+    const ExternalMergeOptions& options, const PendingSource& source,
+    uint32_t partition) {
   if (source.run != nullptr) {
-    if (options.verifier != nullptr) {
-      NGRAM_RETURN_NOT_OK(
-          options.verifier->Verify(*source.run, options.env));
-    }
-    *reader = OpenRunPartition(*source.run, partition, options.env);
-    return Status::OK();
+    return OpenRunPartition(*source.run, partition, options.env);
   }
-  if (source.has_crc) {
-    // Raw intermediate outputs are consumed exactly once, right here;
-    // block-format intermediates verify per block while being read.
-    NGRAM_RETURN_NOT_OK(
-        VerifySpillFileCrc32(source.path, source.crc32, options.env));
-  }
-  *reader = std::make_unique<FileRecordReader>(
+  return std::make_unique<FileRecordReader>(
       source.path, 0, source.length, FileRecordReader::kDefaultBufferBytes,
-      source.block_format ? RunFormat::kBlocks : RunFormat::kRawRecords,
       options.env);
-  return Status::OK();
 }
 
 }  // namespace
@@ -287,8 +243,7 @@ std::unique_ptr<RecordReader> OpenRunPartition(const SpillRun& run,
   }
   return std::make_unique<FileRecordReader>(
       run.file_path, seg.offset, seg.length,
-      FileRecordReader::kDefaultBufferBytes,
-      run.block_format ? RunFormat::kBlocks : RunFormat::kRawRecords, env);
+      FileRecordReader::kDefaultBufferBytes, env);
 }
 
 KWayMerger::KWayMerger(std::vector<std::unique_ptr<RecordReader>> sources,
@@ -396,27 +351,6 @@ bool KWayMerger::Next() {
   current_value_ = sources_[winner_]->value();
   current_prefix_ = prefixes_[winner_];
   return true;
-}
-
-Status RunCrcVerifier::Verify(const SpillRun& run, IoEnv* env) {
-  if (!run.has_crc || run.in_memory()) {
-    return Status::OK();
-  }
-  std::shared_ptr<Entry> entry;
-  {
-    MutexLock lock(&mu_);
-    std::shared_ptr<Entry>& slot = entries_[run.file_path];
-    if (slot == nullptr) {
-      slot = std::make_shared<Entry>();
-    }
-    entry = slot;
-  }
-  // The whole-file re-read happens outside the map lock, so distinct runs
-  // still verify in parallel; call_once serializes only same-path racers.
-  std::call_once(entry->once, [&] {
-    entry->result = VerifySpillFileCrc32(run.file_path, run.crc32, env);
-  });
-  return entry->result;
 }
 
 Status MergeMapRuns(const ExternalMergeOptions& options,
@@ -536,9 +470,7 @@ Status PrepareReduceMerge(const ExternalMergeOptions& options,
       std::vector<std::unique_ptr<RecordReader>> sources;
       sources.reserve(hi - lo + 1);
       for (size_t g = lo; g <= hi; ++g) {
-        std::unique_ptr<RecordReader> reader;
-        NGRAM_RETURN_NOT_OK(
-            OpenPendingSource(options, pending[g], partition, &reader));
+        auto reader = OpenPendingSource(options, pending[g], partition);
         if (reader != nullptr) {
           sources.push_back(std::move(reader));
         }
@@ -570,9 +502,7 @@ Status PrepareReduceMerge(const ExternalMergeOptions& options,
 
   result->sources.reserve(pending.size());
   for (const PendingSource& source : pending) {
-    std::unique_ptr<RecordReader> reader;
-    NGRAM_RETURN_NOT_OK(
-        OpenPendingSource(options, source, partition, &reader));
+    auto reader = OpenPendingSource(options, source, partition);
     if (reader != nullptr) {
       result->sources.push_back(std::move(reader));
     }
@@ -587,44 +517,30 @@ Status MergePartitionToRun(const ExternalMergeOptions& options,
   std::vector<std::unique_ptr<RecordReader>> sources;
   sources.reserve(runs.size());
   for (const SpillRun* run : runs) {
-    if (run->segments[partition].num_records == 0) {
-      continue;
-    }
-    if (options.verifier != nullptr) {
-      NGRAM_RETURN_NOT_OK(options.verifier->Verify(*run, options.env));
-    }
     auto reader = OpenRunPartition(*run, partition, options.env);
     if (reader != nullptr) {
       sources.push_back(std::move(reader));
     }
   }
-  std::unique_ptr<RunWriter> writer =
-      NewRunWriter(out_path, MergeWriterOptions(options));
-  NGRAM_RETURN_NOT_OK(writer->Open());
+  RunWriter writer(out_path, MergeWriterOptions(options));
+  NGRAM_RETURN_NOT_OK(writer.Open());
   KWayMerger merger(std::move(sources), options.comparator);
-  RunWriterSink sink(writer.get());
   Status st = DrainMerger(&merger, /*combiner=*/nullptr, options.comparator,
-                          &sink, options.counters);
+                          &writer, options.counters);
   if (!st.ok()) {
-    writer->Abandon();  // Unlinks the partial eager output.
+    writer.Abandon();  // Unlinks the partial eager output.
     return st;
   }
-  NGRAM_RETURN_NOT_OK(writer->Close());  // Close() unlinks on failure.
+  NGRAM_RETURN_NOT_OK(writer.Close());  // Close() unlinks on failure.
   out->file_path = out_path;
   out->memory_data.clear();
   out->buckets.clear();
   out->segments.assign(num_partitions, RunSegment{});
   RunSegment& seg = out->segments[partition];
   seg.offset = 0;
-  seg.length = writer->bytes_written();
-  seg.num_records = writer->records_written();
-  out->block_format = writer->block_format();
-  out->has_crc = false;
-  if (options.checksum && !out->block_format) {
-    out->crc32 = writer->crc32();
-    out->has_crc = true;
-  }
-  ChargeMergePass(options, *writer);
+  seg.length = writer.bytes_written();
+  seg.num_records = writer.records_written();
+  ChargeMergePass(options, writer);
   return Status::OK();
 }
 

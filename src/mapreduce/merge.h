@@ -19,9 +19,7 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mapreduce/comparator.h"
@@ -30,7 +28,6 @@
 #include "mapreduce/record.h"
 #include "mapreduce/sort_buffer.h"
 #include "util/macros.h"
-#include "util/mutex.h"
 #include "util/status.h"
 
 namespace ngram::mr {
@@ -96,39 +93,9 @@ std::unique_ptr<RecordReader> OpenRunPartition(const SpillRun& run,
                                                uint32_t partition,
                                                IoEnv* env = nullptr);
 
-/// \brief Verifies each checksummed file-backed run at most once per path.
-///
-/// Shared by all reduce tasks: the first task to open any partition of a
-/// run pays the whole-file CRC re-read; later opens (other partitions,
-/// other tasks, retried attempts) see the cached result. A mismatch is
-/// sticky Corruption, so every task reading the damaged run fails and the
-/// job surfaces the corruption through the retry/recovery machinery.
-/// Keying by file path (not a job-wide run index) means a run regenerated
-/// by producer re-execution — which lands under a fresh attempt-scoped
-/// name — gets a fresh verification instead of the doomed original's
-/// cached verdict.
-class RunCrcVerifier {
- public:
-  RunCrcVerifier() = default;
-  NGRAM_DISALLOW_COPY_AND_ASSIGN(RunCrcVerifier);
-
-  /// Verifies `run` if it carries a CRC and is file-backed; in-memory and
-  /// unchecksummed runs pass trivially.
-  Status Verify(const SpillRun& run, IoEnv* env) NGRAM_EXCLUDES(mu_);
-
- private:
-  struct Entry {
-    std::once_flag once;
-    Status result;  // Written once under `once`; read after call_once.
-  };
-  Mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> entries_
-      NGRAM_GUARDED_BY(mu_);
-};
-
 /// Knobs shared by the map-side final merge and the reduce-side
-/// multi-pass merge. Lifetimes: `combiner`, `verifier`, and `counters`
-/// must outlive the call they are passed to.
+/// multi-pass merge. Lifetimes: `combiner` and `counters` must outlive
+/// the call they are passed to.
 struct ExternalMergeOptions {
   const RawComparator* comparator = BytewiseComparator::Instance();
   /// Maximum fan-in per merge pass; values < 2 are treated as 2 (the
@@ -140,16 +107,6 @@ struct ExternalMergeOptions {
   /// retried attempts never collide with a discarded attempt's files.
   std::string name_prefix;
   size_t spill_buffer_bytes = SpillWriter::kDefaultBufferBytes;
-  /// Write merge outputs in the prefix-compressed block format
-  /// (JobConfig::compress_runs). Inputs self-describe via
-  /// SpillRun::block_format / PendingSource bookkeeping, so mixed-format
-  /// source lists (e.g. raw map runs into compressed intermediates)
-  /// merge fine.
-  bool compress = true;
-  /// Checksum raw-format intermediate outputs and verify checksummed
-  /// raw inputs before reading them (JobConfig::checksum_spills).
-  /// Block-format files verify per block as they are decoded instead.
-  bool checksum = false;
   /// True for the map-side final merge: pass/byte counters are charged to
   /// the MAP_* phase breakouts instead of REDUCE_*.
   bool map_side = false;
@@ -159,8 +116,6 @@ struct ExternalMergeOptions {
   bool early = false;
   /// Map-side only: re-run the combiner across runs while merging.
   RawCombineFn combiner;
-  /// Reduce-side only: once-per-job CRC verification of the map runs.
-  RunCrcVerifier* verifier = nullptr;
   /// Charged with kMergePasses / kIntermediateMergeBytes (and combine
   /// counters on the map side). Required.
   TaskCounters* counters = nullptr;
@@ -208,10 +163,8 @@ struct ReduceMergeResult {
 /// read buffer: they never count against the bound, ride along inside
 /// whichever window spans their position, and a no-spill job is never
 /// re-spilled here at all. With `merge_factor` == 0 every non-empty
-/// segment is opened at once (unbounded). Checksummed map runs are
-/// verified through `options.verifier` before their first open;
-/// intermediate outputs carry their own CRC and are re-verified before
-/// the next pass reads them.
+/// segment is opened at once (unbounded). Every file-backed source —
+/// map run or intermediate — verifies its block CRCs as it is read.
 Status PrepareReduceMerge(const ExternalMergeOptions& options,
                           const std::vector<const SpillRun*>& runs,
                           uint32_t partition, ReduceMergeResult* result);
@@ -223,11 +176,10 @@ Status PrepareReduceMerge(const ExternalMergeOptions& options,
 ///
 /// On success `*out` is a synthetic partition-segmented SpillRun whose
 /// only non-empty segment is `partition` (sized `num_partitions` so it
-/// can stand in for map runs in a reduce-side source list). Checksummed
-/// inputs are verified through `options.verifier`; on failure the partial
-/// output is unlinked and `*out` is unspecified. At most |runs| sources
-/// plus the output are open at once — callers bound |runs|'s fd cost by
-/// `merge_factor` themselves.
+/// can stand in for map runs in a reduce-side source list). On failure
+/// the partial output is unlinked and `*out` is unspecified. At most
+/// |runs| sources plus the output are open at once — callers bound
+/// |runs|'s fd cost by `merge_factor` themselves.
 Status MergePartitionToRun(const ExternalMergeOptions& options,
                            const std::vector<const SpillRun*>& runs,
                            uint32_t partition, uint32_t num_partitions,

@@ -67,7 +67,7 @@ struct PipelineMetrics {
     uint64_t fetch_retries = 0;
     uint64_t fetch_wait_ms = 0;
     // At-rest run bytes: raw-framing equivalent vs actually written
-    // (the compress_runs ratio for this round; equal with the knob off).
+    // (the block format's compression ratio for this round).
     uint64_t run_bytes_raw = 0;
     uint64_t run_bytes_written = 0;
   };

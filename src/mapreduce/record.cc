@@ -1,8 +1,5 @@
 #include "mapreduce/record.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "mapreduce/runfile.h"
 #include "util/crc32.h"
 
@@ -10,18 +7,12 @@ namespace ngram::mr {
 
 FileRecordReader::FileRecordReader(const std::string& path, uint64_t offset,
                                    uint64_t length, size_t buffer_size,
-                                   RunFormat format, IoEnv* env)
-    : path_(path),
-      format_(format),
-      remaining_file_bytes_(length),
-      buffer_capacity_(buffer_size),
-      next_block_offset_(offset) {
-  // Block mode reads through the stream buffer (header varints byte by
-  // byte, then one read per ~16 KiB payload); hand the reader's budget to
-  // the env as the buffer hint so the merge keeps issuing few large
-  // sequential reads, as the raw path's own buffer does.
-  const size_t hint = format_ == RunFormat::kBlocks ? buffer_capacity_ : 0;
-  Status st = ResolveEnv(env)->NewReadableFile(path, hint, &file_);
+                                   IoEnv* env)
+    : path_(path), remaining_file_bytes_(length), next_block_offset_(offset) {
+  // Blocks are read through the env's stream buffer (header varints byte
+  // by byte, then one read per ~16 KiB payload); the buffer hint keeps
+  // the merge issuing few large sequential reads.
+  Status st = ResolveEnv(env)->NewReadableFile(path, buffer_size, &file_);
   if (!st.ok()) {
     status_ = st.WithContext("open run for reading");
     remaining_file_bytes_ = 0;
@@ -32,111 +23,9 @@ FileRecordReader::FileRecordReader(const std::string& path, uint64_t offset,
     status_ = st.WithContext("seek to run extent");
     remaining_file_bytes_ = 0;
   }
-  if (format_ == RunFormat::kRawRecords) {
-    buffer_.reserve(buffer_capacity_);
-  }
 }
 
 FileRecordReader::~FileRecordReader() = default;
-
-bool FileRecordReader::FillAtLeast(size_t n) {
-  const size_t available = limit_ - pos_;
-  if (available >= n) {
-    return true;
-  }
-  // Move the unread tail to the front of the *alternate* buffer and swap,
-  // instead of compacting in place: the record surfaced by the previous
-  // Next() call keeps its address in the retired buffer, which is what
-  // upholds the one-record lookback contract. At most one swap may happen
-  // per Next() call — a second would recycle the retired buffer and
-  // clobber the protected record — so a later refill in the same call
-  // (header fill followed by a body fill) extends the active buffer in
-  // place instead.
-  if (pos_ > 0 && !swapped_this_call_) {
-    const size_t tail = limit_ - pos_;
-    if (alt_buffer_.size() < buffer_capacity_) {
-      alt_buffer_.resize(buffer_capacity_);
-    }
-    if (tail > 0) {
-      memcpy(alt_buffer_.data(), buffer_.data() + pos_, tail);
-    }
-    buffer_.swap(alt_buffer_);
-    swapped_this_call_ = true;
-    limit_ = tail;
-    pos_ = 0;
-  }
-  const size_t target = pos_ + n;
-  if (target > buffer_capacity_) {
-    buffer_capacity_ = target;  // Oversized record: grow permanently.
-  }
-  if (buffer_.size() < buffer_capacity_) {
-    buffer_.resize(buffer_capacity_);
-  }
-  while (limit_ < target && remaining_file_bytes_ > 0) {
-    const size_t want = static_cast<size_t>(
-        std::min<uint64_t>(buffer_capacity_ - limit_, remaining_file_bytes_));
-    size_t got = 0;
-    // A short read is only "truncated file" corruption when the stream
-    // really hit EOF; a failed read is an I/O error and must surface as
-    // one (with the env's errno detail) instead of masquerading as
-    // corruption.
-    Status st = file_->Read(buffer_.data() + limit_, want, &got);
-    if (!st.ok()) {
-      status_ = st.WithContext("read run records");
-      return false;
-    }
-    if (got == 0) {
-      status_ = Status::Corruption("unexpected EOF reading run records in " +
-                                   path_);
-      return false;
-    }
-    limit_ += got;
-    remaining_file_bytes_ -= got;
-  }
-  return limit_ - pos_ >= n;
-}
-
-bool FileRecordReader::NextRaw() {
-  swapped_this_call_ = false;
-  const uint64_t total_left = (limit_ - pos_) + remaining_file_bytes_;
-  if (total_left == 0) {
-    return false;  // Clean end of segment.
-  }
-  // Varints are at most 10 bytes; make both headers available (or as much
-  // as the segment still holds, for the final record).
-  const size_t header_want = static_cast<size_t>(
-      std::min<uint64_t>(2 * kMaxVarint64Bytes, total_left));
-  if (!FillAtLeast(header_want)) {
-    if (status_.ok()) {
-      status_ =
-          Status::Corruption("truncated record header reading " + path_);
-    }
-    return false;
-  }
-  Slice header(buffer_.data() + pos_, limit_ - pos_);
-  const char* header_start = header.data();
-  uint64_t klen = 0, vlen = 0;
-  if (!GetVarint64(&header, &klen) || !GetVarint64(&header, &vlen)) {
-    status_ = Status::Corruption("malformed record header reading " + path_);
-    return false;
-  }
-  const size_t header_bytes = static_cast<size_t>(header.data() - header_start);
-  pos_ += header_bytes;
-  const size_t body = static_cast<size_t>(klen + vlen);
-  if (!FillAtLeast(body)) {
-    if (status_.ok()) {
-      status_ = Status::Corruption("truncated record body reading " + path_);
-    }
-    return false;
-  }
-  // Zero-copy: FillAtLeast guaranteed the whole record is contiguous in
-  // the buffer, and nothing moves it until the *second* following Next()
-  // call (the lookback contract).
-  key_ = Slice(buffer_.data() + pos_, klen);
-  value_ = Slice(buffer_.data() + pos_ + klen, vlen);
-  pos_ += body;
-  return true;
-}
 
 bool FileRecordReader::ReadExact(char* dst, size_t n) {
   if (remaining_file_bytes_ < n) {
@@ -233,7 +122,10 @@ bool FileRecordReader::LoadNextBlock() {
   return true;
 }
 
-bool FileRecordReader::NextBlock() {
+bool FileRecordReader::Next() {
+  if (!status_.ok()) {
+    return false;
+  }
   while (decoded_cur_.empty()) {
     if (remaining_file_bytes_ == 0) {
       return false;  // Clean end of segment.
@@ -255,13 +147,6 @@ bool FileRecordReader::NextBlock() {
   value_ = Slice(decoded_cur_.data() + klen, vlen);
   decoded_cur_.RemovePrefix(static_cast<size_t>(klen + vlen));
   return true;
-}
-
-bool FileRecordReader::Next() {
-  if (!status_.ok()) {
-    return false;
-  }
-  return format_ == RunFormat::kBlocks ? NextBlock() : NextRaw();
 }
 
 }  // namespace ngram::mr

@@ -1,8 +1,9 @@
 // Framed shuffle records and readers over them.
 //
-// Wire format of one record: [klen varint][vlen varint][key][value].
-// Spill runs and in-memory runs share this framing, so merge sources are
-// uniform over both.
+// In-memory format of one record: [klen varint][vlen varint][key][value].
+// In-memory runs, decoded run-file blocks and job-boundary tables share
+// this framing; run files store records as front-coded blocks
+// (runfile.h), which FileRecordReader decodes back into it.
 #pragma once
 
 #include <cstdint>
@@ -89,40 +90,25 @@ class MemoryRecordReader final : public RecordReader {
   Slice data_;
 };
 
-/// At-rest layout of a persisted run extent (see runfile.h for the block
-/// format specification).
-enum class RunFormat : uint8_t {
-  kRawRecords,  // Back-to-back [klen][vlen][key][value] frames.
-  kBlocks,      // Front-coded blocks with per-block CRC-32 trailers.
-};
-
-/// Buffered reader over a byte extent of a spill file.
+/// \brief Buffered reader over a byte extent of a block-format run file
+/// (runfile.h).
 ///
-/// Raw format: records are surfaced zero-copy — key()/value() point
-/// straight into the read buffer. The lookback contract is honored by
-/// refilling into an alternate buffer instead of compacting in place: a
-/// refill never moves the bytes of the record surfaced by the previous
-/// Next() call, so its slices survive exactly one advance. The alternate
-/// buffer is allocated lazily — a segment that fits one buffer never pays
-/// for the second.
-///
-/// Block format (RunFormat::kBlocks): each block is read, its CRC-32
-/// trailer verified (integrity checking is inherent to reading — a
-/// flipped bit anywhere surfaces as Corruption naming the block's file
-/// offset), and its front-coded entries decoded into one of two
-/// alternating scratch buffers. Records are then surfaced zero-copy out
-/// of the decoded buffer; because the *previous* block's buffer is only
-/// recycled when the block after next is decoded, the one-record lookback
-/// contract holds across block boundaries too.
+/// Each block is read, its CRC-32 trailer verified (integrity checking is
+/// inherent to reading — a flipped bit anywhere surfaces as Corruption
+/// naming the block's file offset), and its front-coded entries decoded
+/// into one of two alternating scratch buffers. Records are then surfaced
+/// zero-copy out of the decoded buffer; because the *previous* block's
+/// buffer is only recycled when the block after next is decoded, the
+/// one-record lookback contract holds across block boundaries too.
 class FileRecordReader final : public RecordReader {
  public:
   static constexpr size_t kDefaultBufferBytes = 256 * 1024;
 
-  /// Reads `length` bytes starting at `offset` of `path`. I/O goes
-  /// through `env` (nullptr means IoEnv::Default()).
+  /// Reads `length` bytes starting at `offset` of `path`. `buffer_size`
+  /// is the read-buffer hint handed to the env. I/O goes through `env`
+  /// (nullptr means IoEnv::Default()).
   FileRecordReader(const std::string& path, uint64_t offset, uint64_t length,
                    size_t buffer_size = kDefaultBufferBytes,
-                   RunFormat format = RunFormat::kRawRecords,
                    IoEnv* env = nullptr);
   ~FileRecordReader() override;
 
@@ -131,9 +117,6 @@ class FileRecordReader final : public RecordReader {
   bool Next() override;
 
  private:
-  bool FillAtLeast(size_t n);  // Ensures n readable bytes at pos_ or EOF.
-  bool NextRaw();
-  bool NextBlock();
   /// Reads exactly `n` bytes of the extent into `dst`, distinguishing
   /// EOF-truncation (Corruption) from read failure (IOError).
   bool ReadExact(char* dst, size_t n);
@@ -142,17 +125,8 @@ class FileRecordReader final : public RecordReader {
   bool LoadNextBlock();
 
   const std::string path_;  // For block-offset error messages.
-  const RunFormat format_;
   std::unique_ptr<ReadableFile> file_;
   uint64_t remaining_file_bytes_;
-  std::string buffer_;
-  std::string alt_buffer_;  // Refill target; preserves the previous record.
-  size_t pos_ = 0;
-  size_t limit_ = 0;
-  size_t buffer_capacity_;
-  bool swapped_this_call_ = false;  // At most one buffer swap per Next().
-
-  // Block-format state.
   uint64_t next_block_offset_;   // Absolute file offset of the next block.
   std::string block_scratch_;    // One on-disk block payload.
   std::string decoded_[2];       // Re-framed records; alternate per block.

@@ -5,139 +5,112 @@
 #include <vector>
 
 #include "encoding/varint.h"
-#include "mapreduce/spill_writer.h"
 #include "util/crc32.h"
 
 namespace ngram::mr {
 
 namespace {
 
-/// \brief Block-format RunWriter: front-coded entries, restart points,
-/// per-block CRC-32 trailer (format spec in runfile.h).
-///
-/// A SpillWriter is the physical byte sink: it provides the streaming
-/// buffer (possibly caller-owned), failure-unlink semantics, and the
-/// logical byte offset; this class only builds block payloads.
-class BlockRunWriter final : public RunWriter {
- public:
-  BlockRunWriter(std::string path, const RunWriterOptions& options)
-      : options_(options),
-        file_(std::move(path), FileOptions(options)),
-        counter_(options.restart_interval) {}  // First entry restarts.
-
-  Status Open() override { return file_.Open(); }
-
-  Status Append(Slice key, Slice value) override {
-    raw_bytes_ += static_cast<uint64_t>(VarintLength(key.size())) +
-                  VarintLength(value.size()) + key.size() + value.size();
-    size_t shared = 0;
-    if (counter_ < options_.restart_interval) {
-      // Delta-code against the previous key.
-      const size_t n = std::min(key.size(), last_key_.size());
-      while (shared < n && last_key_[shared] == key[shared]) {
-        ++shared;
-      }
-    } else {
-      restarts_.push_back(static_cast<uint32_t>(block_.size()));
-      counter_ = 0;
-    }
-    const size_t non_shared = key.size() - shared;
-    // Tag byte: shared / non_shared nibbles, 15 = varint follows.
-    const uint8_t shared_nib = shared < 15 ? static_cast<uint8_t>(shared) : 15;
-    const uint8_t non_shared_nib =
-        non_shared < 15 ? static_cast<uint8_t>(non_shared) : 15;
-    block_.push_back(static_cast<char>((shared_nib << 4) | non_shared_nib));
-    if (shared_nib == 15) {
-      PutVarint64(&block_, shared);
-    }
-    if (non_shared_nib == 15) {
-      PutVarint64(&block_, non_shared);
-    }
-    PutVarint64(&block_, value.size());
-    block_.append(key.data() + shared, non_shared);
-    block_.append(value.data(), value.size());
-    last_key_.resize(shared);
-    last_key_.append(key.data() + shared, non_shared);
-    ++counter_;
-    ++entries_in_block_;
-    ++records_written_;
-    if (block_.size() >= options_.block_bytes) {
-      return EmitBlock();
-    }
-    return Status::OK();
-  }
-
-  Status FinishSegment() override { return EmitBlock(); }
-
-  Status Close() override {
-    Status st = EmitBlock();
-    if (!st.ok()) {
-      return st;  // EmitBlock already abandoned (unlinked) on failure.
-    }
-    return file_.Close();
-  }
-
-  void Abandon() override { file_.Abandon(); }
-
-  uint64_t bytes_written() const override { return file_.bytes_written(); }
-  uint64_t records_written() const override { return records_written_; }
-  uint64_t raw_bytes() const override { return raw_bytes_; }
-  uint32_t crc32() const override { return 0; }  // Per-block CRCs instead.
-  bool block_format() const override { return true; }
-  const std::string& path() const override { return file_.path(); }
-
- private:
-  static SpillWriter::Options FileOptions(const RunWriterOptions& options) {
-    SpillWriter::Options file_options;
-    file_options.buffer_bytes = std::max<size_t>(1, options.buffer_bytes);
-    file_options.checksum = false;  // Blocks carry their own CRCs.
-    file_options.external_buffer = options.external_buffer;
-    file_options.preamble = options.preamble;
-    file_options.env = options.env;
-    return file_options;
-  }
-
-  Status EmitBlock() {
-    if (entries_in_block_ == 0) {
-      return Status::OK();
-    }
-    for (uint32_t restart : restarts_) {
-      PutFixed32(&block_, restart);
-    }
-    PutFixed32(&block_, static_cast<uint32_t>(restarts_.size()));
-    const uint32_t crc = Crc32(0, block_.data(), block_.size());
-    char header[kMaxVarint64Bytes];
-    char* header_end = EncodeVarint64To(header, block_.size());
-    Status st = file_.AppendRawBytes(
-        header, static_cast<size_t>(header_end - header));
-    if (st.ok()) {
-      st = file_.AppendRawBytes(block_.data(), block_.size());
-    }
-    if (st.ok()) {
-      char trailer[4];
-      EncodeFixed32To(trailer, crc);
-      st = file_.AppendRawBytes(trailer, 4);
-    }
-    block_.clear();
-    restarts_.clear();
-    counter_ = options_.restart_interval;  // Next entry restarts.
-    entries_in_block_ = 0;
-    last_key_.clear();
-    return st;
-  }
-
-  const RunWriterOptions options_;
-  SpillWriter file_;
-  std::string block_;               // Payload under construction.
-  std::vector<uint32_t> restarts_;  // Entry offsets with shared == 0.
-  uint32_t counter_ = 0;            // Entries since the last restart.
-  uint64_t entries_in_block_ = 0;
-  std::string last_key_;
-  uint64_t records_written_ = 0;
-  uint64_t raw_bytes_ = 0;
-};
+SpillWriter::Options FileOptions(const RunWriterOptions& options) {
+  SpillWriter::Options file_options;
+  file_options.buffer_bytes = std::max<size_t>(1, options.buffer_bytes);
+  file_options.external_buffer = options.external_buffer;
+  file_options.env = options.env;
+  return file_options;
+}
 
 }  // namespace
+
+RunWriter::RunWriter(std::string path, const RunWriterOptions& options)
+    : options_(options),
+      file_(std::move(path), FileOptions(options)),
+      counter_(options.restart_interval) {}  // First entry restarts.
+
+Status RunWriter::Open() {
+  NGRAM_RETURN_NOT_OK(file_.Open());
+  if (options_.preamble.empty()) {
+    return Status::OK();
+  }
+  return file_.AppendRawBytes(options_.preamble.data(),
+                              options_.preamble.size());
+}
+
+Status RunWriter::Append(Slice key, Slice value) {
+  raw_bytes_ += static_cast<uint64_t>(VarintLength(key.size())) +
+                VarintLength(value.size()) + key.size() + value.size();
+  size_t shared = 0;
+  if (counter_ < options_.restart_interval) {
+    // Delta-code against the previous key.
+    const size_t n = std::min(key.size(), last_key_.size());
+    while (shared < n && last_key_[shared] == key[shared]) {
+      ++shared;
+    }
+  } else {
+    restarts_.push_back(static_cast<uint32_t>(block_.size()));
+    counter_ = 0;
+  }
+  const size_t non_shared = key.size() - shared;
+  // Tag byte: shared / non_shared nibbles, 15 = varint follows.
+  const uint8_t shared_nib = shared < 15 ? static_cast<uint8_t>(shared) : 15;
+  const uint8_t non_shared_nib =
+      non_shared < 15 ? static_cast<uint8_t>(non_shared) : 15;
+  block_.push_back(static_cast<char>((shared_nib << 4) | non_shared_nib));
+  if (shared_nib == 15) {
+    PutVarint64(&block_, shared);
+  }
+  if (non_shared_nib == 15) {
+    PutVarint64(&block_, non_shared);
+  }
+  PutVarint64(&block_, value.size());
+  block_.append(key.data() + shared, non_shared);
+  block_.append(value.data(), value.size());
+  last_key_.resize(shared);
+  last_key_.append(key.data() + shared, non_shared);
+  ++counter_;
+  ++entries_in_block_;
+  ++records_written_;
+  if (block_.size() >= options_.block_bytes) {
+    return EmitBlock();
+  }
+  return Status::OK();
+}
+
+Status RunWriter::Close() {
+  Status st = EmitBlock();
+  if (!st.ok()) {
+    return st;  // EmitBlock already abandoned (unlinked) on failure.
+  }
+  return file_.Close();
+}
+
+Status RunWriter::EmitBlock() {
+  if (entries_in_block_ == 0) {
+    return Status::OK();
+  }
+  for (uint32_t restart : restarts_) {
+    PutFixed32(&block_, restart);
+  }
+  PutFixed32(&block_, static_cast<uint32_t>(restarts_.size()));
+  const uint32_t crc = Crc32(0, block_.data(), block_.size());
+  char header[kMaxVarint64Bytes];
+  char* header_end = EncodeVarint64To(header, block_.size());
+  Status st = file_.AppendRawBytes(
+      header, static_cast<size_t>(header_end - header));
+  if (st.ok()) {
+    st = file_.AppendRawBytes(block_.data(), block_.size());
+  }
+  if (st.ok()) {
+    char trailer[4];
+    EncodeFixed32To(trailer, crc);
+    st = file_.AppendRawBytes(trailer, 4);
+  }
+  block_.clear();
+  restarts_.clear();
+  counter_ = options_.restart_interval;  // Next entry restarts.
+  entries_in_block_ = 0;
+  last_key_.clear();
+  return st;
+}
 
 namespace {
 
@@ -303,20 +276,6 @@ Status DecodeBlockAtIndexed(Slice file, uint64_t offset,
                             uint64_t* next_offset) {
   return DecodeBlockAtImpl(file, offset, path, framed, restart_offsets,
                            next_offset);
-}
-
-std::unique_ptr<RunWriter> NewRunWriter(std::string path,
-                                        const RunWriterOptions& options) {
-  if (!options.compress) {
-    SpillWriter::Options file_options;
-    file_options.buffer_bytes = std::max<size_t>(1, options.buffer_bytes);
-    file_options.checksum = options.checksum;
-    file_options.external_buffer = options.external_buffer;
-    file_options.preamble = options.preamble;
-    file_options.env = options.env;
-    return std::make_unique<SpillWriter>(std::move(path), file_options);
-  }
-  return std::make_unique<BlockRunWriter>(std::move(path), options);
 }
 
 }  // namespace ngram::mr

@@ -1,10 +1,11 @@
-// Block-structured run files: the prefix-compressed at-rest format for
-// every persisted record stream — spill runs, map-side final merges,
-// reduce-side intermediate passes, and serialized job-boundary tables.
+// Block-structured run files: the one at-rest format for every persisted
+// record stream — spill runs, map-side final merges, reduce-side
+// intermediate passes, eager early-shuffle outputs, fetched clones,
+// serialized job-boundary tables, and serving shards.
 //
-// The record *stream* is unchanged (the same (key, value) sequence in the
-// same order); only the at-rest representation differs from the raw
-// `[klen][vlen][key][value]` framing of record.h. Runs are sorted, so
+// In memory, records travel as the `[klen][vlen][key][value]` frames of
+// record.h; on disk they are stored as front-coded blocks. Runs are
+// sorted, so
 // adjacent keys share long byte prefixes (under the rev-lex comparator a
 // shared suffix becomes a shared prefix), and front-coding stores each key
 // as a delta against its predecessor:
@@ -22,7 +23,7 @@
 // entry header deliberately: shuffle keys here are short (varbyte n-gram
 // sequences average ~7 bytes), so a third header byte would eat most of
 // the front-coding win — with the tag, the entry header costs exactly
-// what the raw framing's [klen][vlen] costs in the common case and every
+// what the record framing's [klen][vlen] costs in the common case and every
 // shared byte is pure savings. An exact duplicate key (frequent in
 // n-gram streams) collapses to tag + vlen + value.
 //
@@ -30,8 +31,8 @@
 // key stored whole), bounding how far a decoder must chain deltas and
 // keeping the format seekable-in-principle (LevelDB's block layout). The
 // trailing CRC-32 covers the payload and is verified whenever a block is
-// read back — integrity checking rides along with decoding instead of
-// costing the separate whole-file pass raw runs need (`checksum_spills`).
+// read back — integrity checking rides along with decoding, so a flipped
+// bit anywhere in a run surfaces as Corruption, never as a wrong record.
 //
 // Blocks are closed at ~`block_bytes` of payload and at every segment
 // (partition) boundary, so a RunSegment extent always covers whole blocks
@@ -39,18 +40,18 @@
 // `block_bytes` simply becomes one oversized block — records never span
 // blocks.
 //
-// Readers: FileRecordReader (record.h) decodes this format with
-// `RunFormat::kBlocks`, re-framing each block into one of two alternating
-// scratch buffers so the one-record lookback contract holds across block
-// boundaries.
+// Readers: FileRecordReader (record.h) streams this format, re-framing
+// each block into one of two alternating scratch buffers so the
+// one-record lookback contract holds across block boundaries.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "mapreduce/record.h"
+#include "mapreduce/spill_writer.h"
+#include "util/macros.h"
 #include "util/slice.h"
 #include "util/status.h"
 
@@ -61,75 +62,77 @@ inline constexpr size_t kDefaultBlockBytes = 16 * 1024;
 /// Entries between restart points (full keys).
 inline constexpr uint32_t kDefaultRestartInterval = 16;
 
-/// \brief Streaming writer for one run file, raw or block-compressed.
-///
-/// The common surface of SpillWriter (raw framing) and the block writer:
-/// Open(), Append() records, FinishSegment() at partition boundaries,
-/// Close(). bytes_written() is the logical file offset (buffered bytes
-/// included) — callers record per-partition segment extents from it while
-/// streaming, exactly as with SpillWriter. raw_bytes() is what the raw
-/// framing *would* have occupied, so bytes_written()/raw_bytes() is the
-/// observable compression ratio (RUN_BYTES_WRITTEN / RUN_BYTES_RAW).
-class RunWriter {
- public:
-  virtual ~RunWriter() = default;
-
-  /// Creates/truncates the file. Must be called before Append().
-  virtual Status Open() = 0;
-  /// Appends one record.
-  virtual Status Append(Slice key, Slice value) = 0;
-  /// Ends the current block at a segment (partition) boundary so segment
-  /// extents cover whole blocks. No-op for the raw format.
-  virtual Status FinishSegment() = 0;
-  /// Flushes and closes; on failure the partial file is unlinked.
-  virtual Status Close() = 0;
-  /// Closes (if open) and unlinks the file (task-attempt failure).
-  virtual void Abandon() = 0;
-
-  /// Logical bytes written so far (buffered bytes included).
-  virtual uint64_t bytes_written() const = 0;
-  /// Records appended so far.
-  virtual uint64_t records_written() const = 0;
-  /// Bytes the raw `[klen][vlen][key][value]` framing would have taken.
-  virtual uint64_t raw_bytes() const = 0;
-  /// Whole-file CRC-32 (raw format with checksumming only; block files
-  /// carry per-block CRCs instead and return 0 here).
-  virtual uint32_t crc32() const = 0;
-  /// True when this writer produces the block format (readers must use
-  /// RunFormat::kBlocks).
-  virtual bool block_format() const = 0;
-  virtual const std::string& path() const = 0;
-};
-
-/// Options for NewRunWriter.
+/// Options for RunWriter.
 struct RunWriterOptions {
-  /// Block format (front-coded keys + per-block CRC) vs raw framing.
-  bool compress = true;
   /// Size of the streaming write buffer.
-  size_t buffer_bytes = 256 * 1024;
-  /// Raw format only: maintain a whole-file CRC-32 (block files always
-  /// carry per-block CRCs regardless of this flag).
-  bool checksum = false;
+  size_t buffer_bytes = SpillWriter::kDefaultBufferBytes;
   /// Optional caller-owned write buffer of at least `buffer_bytes` bytes
   /// (see SpillWriter::Options::external_buffer).
   char* external_buffer = nullptr;
-  /// Bytes written verbatim at the start of the file before any record
+  /// Bytes written verbatim at the start of the file before any block
   /// (self-describing headers of job-boundary tables). Counted in
   /// bytes_written(); record extents start at preamble.size().
   std::string preamble;
-  /// Block format: soft payload size at which a block is closed.
+  /// Soft payload size at which a block is closed.
   size_t block_bytes = kDefaultBlockBytes;
-  /// Block format: entries between restart points.
+  /// Entries between restart points.
   uint32_t restart_interval = kDefaultRestartInterval;
   /// I/O environment for the physical byte sink; nullptr means
   /// IoEnv::Default().
   IoEnv* env = nullptr;
 };
 
-/// Creates a writer for `path`: a SpillWriter (raw framing) when
-/// `options.compress` is false, the block writer otherwise.
-std::unique_ptr<RunWriter> NewRunWriter(std::string path,
-                                        const RunWriterOptions& options);
+/// \brief Streaming writer for one block-format run file: front-coded
+/// entries, restart points, a CRC-32 trailer per block.
+///
+/// Usage: Open(), Append() records, FinishSegment() at partition
+/// boundaries, Close(). A SpillWriter is the physical byte sink: it owns
+/// the streaming buffer (possibly caller-owned), the commit protocol and
+/// the logical byte offset; this class only builds block payloads.
+/// bytes_written() is that offset (buffered bytes included) — callers
+/// record per-partition segment extents from it while streaming.
+/// raw_bytes() is what the `[klen][vlen][key][value]` framing would have
+/// occupied, so bytes_written()/raw_bytes() is the observable compression
+/// ratio (RUN_BYTES_WRITTEN / RUN_BYTES_RAW).
+class RunWriter final : public RecordSink {
+ public:
+  RunWriter(std::string path, const RunWriterOptions& options);
+  NGRAM_DISALLOW_COPY_AND_ASSIGN(RunWriter);
+
+  /// Creates the staged file and writes the preamble. Must be called
+  /// before Append().
+  Status Open();
+  /// Appends one record.
+  Status Append(Slice key, Slice value) override;
+  /// Ends the current block at a segment (partition) boundary so segment
+  /// extents cover whole blocks.
+  Status FinishSegment() { return EmitBlock(); }
+  /// Emits the last block, then flushes, syncs and commits the file; on
+  /// failure the partial file is unlinked.
+  Status Close();
+  /// Closes (if open) and unlinks the file (task-attempt failure).
+  void Abandon() { file_.Abandon(); }
+
+  /// Logical bytes written so far (buffered bytes included).
+  uint64_t bytes_written() const { return file_.bytes_written(); }
+  /// Records appended so far.
+  uint64_t records_written() const { return records_written_; }
+  /// Bytes the raw `[klen][vlen][key][value]` framing would have taken.
+  uint64_t raw_bytes() const { return raw_bytes_; }
+
+ private:
+  Status EmitBlock();
+
+  const RunWriterOptions options_;
+  SpillWriter file_;
+  std::string block_;               // Payload under construction.
+  std::vector<uint32_t> restarts_;  // Entry offsets with shared == 0.
+  uint32_t counter_ = 0;            // Entries since the last restart.
+  uint64_t entries_in_block_ = 0;
+  std::string last_key_;
+  uint64_t records_written_ = 0;
+  uint64_t raw_bytes_ = 0;
+};
 
 /// Decodes one block payload (front-coded entries + restart array; CRC
 /// already verified by the caller) into back-to-back raw
@@ -164,18 +167,5 @@ Status DecodeBlockAtIndexed(Slice file, uint64_t offset,
                             const std::string& path, std::string* framed,
                             std::vector<uint32_t>* restart_offsets,
                             uint64_t* next_offset);
-
-/// RecordSink adapter over any RunWriter — the glue every writer-backed
-/// emit path (spills, merge passes) uses to stream records.
-class RunWriterSink final : public RecordSink {
- public:
-  explicit RunWriterSink(RunWriter* writer) : writer_(writer) {}
-  Status Append(Slice key, Slice value) override {
-    return writer_->Append(key, value);
-  }
-
- private:
-  RunWriter* writer_;
-};
 
 }  // namespace ngram::mr

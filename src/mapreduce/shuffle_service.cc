@@ -283,10 +283,7 @@ void EarlyShuffleService::MergeWindow(const Window& window,
   merge_options.merge_factor = static_cast<uint32_t>(factor_);
   merge_options.work_dir = options_.work_dir;
   merge_options.spill_buffer_bytes = options_.spill_buffer_bytes;
-  merge_options.compress = options_.compress;
-  merge_options.checksum = options_.checksum;
   merge_options.early = true;
-  merge_options.verifier = options_.verifier;
   merge_options.counters = tc;
   merge_options.env = options_.env;
   Status st =

@@ -139,10 +139,6 @@ class EarlyShuffleService {
     const RawComparator* comparator = BytewiseComparator::Instance();
     std::string work_dir;
     size_t spill_buffer_bytes = SpillWriter::kDefaultBufferBytes;
-    bool compress = true;
-    bool checksum = false;
-    /// Shared once-per-path CRC registry (reduce tasks reuse verdicts).
-    RunCrcVerifier* verifier = nullptr;
     IoEnv* env = nullptr;
   };
 

@@ -345,7 +345,6 @@ Status SortBuffer::WriteRunToFile(SpillRun* run) {
   run->file_path = options_.work_dir + name;
 
   RunWriterOptions writer_options;
-  writer_options.compress = options_.compress_runs;
   // Framed output never exceeds bytes_used_ (record headers are smaller
   // than the per-record ref overhead), so small spills get a small buffer.
   // The buffer itself is task-owned and reused across this task's spills,
@@ -358,44 +357,35 @@ Status SortBuffer::WriteRunToFile(SpillRun* run) {
   }
   writer_options.buffer_bytes = spill_write_buffer_bytes_;
   writer_options.external_buffer = spill_write_buffer_.get();
-  writer_options.checksum = options_.checksum_spills;
   writer_options.env = options_.env;
-  std::unique_ptr<RunWriter> writer =
-      NewRunWriter(run->file_path, writer_options);
-  NGRAM_RETURN_NOT_OK(writer->Open());
+  RunWriter writer(run->file_path, writer_options);
+  NGRAM_RETURN_NOT_OK(writer.Open());
 
   uint64_t total_records = 0;
   for (uint32_t p = 0; p < options_.num_partitions; ++p) {
     RunSegment& seg = run->segments[p];
-    seg.offset = writer->bytes_written();
-    const uint64_t records_before = writer->records_written();
-    RunWriterSink sink(writer.get());
-    Status st = EmitBucket(buckets_[p], &sink);
+    seg.offset = writer.bytes_written();
+    const uint64_t records_before = writer.records_written();
+    Status st = EmitBucket(buckets_[p], &writer);
     if (st.ok()) {
-      // Segment extents must cover whole blocks (no-op for raw runs).
-      st = writer->FinishSegment();
+      st = writer.FinishSegment();  // Segment extents cover whole blocks.
     }
     if (!st.ok()) {
-      writer->Abandon();  // Unlinks the partially written spill file.
+      writer.Abandon();  // Unlinks the partially written spill file.
       return st;
     }
-    seg.length = writer->bytes_written() - seg.offset;
-    seg.num_records = writer->records_written() - records_before;
+    seg.length = writer.bytes_written() - seg.offset;
+    seg.num_records = writer.records_written() - records_before;
     total_records += seg.num_records;
     if (options_.combiner) {
       counters_->Increment(kCombineOutputRecords, seg.num_records);
     }
   }
-  NGRAM_RETURN_NOT_OK(writer->Close());  // Close() unlinks on failure.
-  run->block_format = writer->block_format();
-  if (options_.checksum_spills && !run->block_format) {
-    run->crc32 = writer->crc32();
-    run->has_crc = true;
-  }
+  NGRAM_RETURN_NOT_OK(writer.Close());  // Close() unlinks on failure.
   counters_->Increment(kSpilledRecords, total_records);
   counters_->Increment(kSpillFiles, 1);
-  counters_->Increment(kRunBytesRaw, writer->raw_bytes());
-  counters_->Increment(kRunBytesWritten, writer->bytes_written());
+  counters_->Increment(kRunBytesRaw, writer.raw_bytes());
+  counters_->Increment(kRunBytesWritten, writer.bytes_written());
   return Status::OK();
 }
 

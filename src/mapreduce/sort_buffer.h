@@ -47,10 +47,11 @@ struct SortedRecordRef {
   uint32_t seq;          // Insertion order within the bucket.
 };
 
-/// One sorted run: per-partition contiguous record groups — in a spill
-/// file, in framed memory (combined final flushes), or zero-copy as the
-/// sorted bucket arenas themselves (uncombined final flushes: the merge
-/// reads records in place through the refs; no framed copy is ever made).
+/// One sorted run: per-partition contiguous record groups — in a
+/// block-format run file (runfile.h; segment extents cover whole blocks),
+/// in framed memory (combined final flushes), or zero-copy as the sorted
+/// bucket arenas themselves (uncombined final flushes: the merge reads
+/// records in place through the refs; no framed copy is ever made).
 struct SpillRun {
   /// Zero-copy form: one entry per partition.
   struct MemoryBucket {
@@ -62,13 +63,6 @@ struct SpillRun {
   std::string memory_data;      // Framed in-memory form.
   std::vector<MemoryBucket> buckets;  // Zero-copy in-memory form.
   std::vector<RunSegment> segments;  // Indexed by partition.
-  uint32_t crc32 = 0;           // Whole-file CRC when checksummed (raw).
-  bool has_crc = false;
-  /// File-backed form is the prefix-compressed block format (runfile.h):
-  /// segment extents cover whole blocks, readers must decode with
-  /// RunFormat::kBlocks, and integrity is per-block (has_crc stays
-  /// false — there is no whole-file CRC to verify separately).
-  bool block_format = false;
 
   bool in_memory() const { return file_path.empty(); }
   bool zero_copy() const { return !buckets.empty(); }
@@ -108,12 +102,6 @@ class SortBuffer {
     std::string spill_name_prefix = "spill";
     /// Size of the streaming spill write buffer.
     size_t spill_buffer_bytes = SpillWriter::kDefaultBufferBytes;
-    /// Spill runs in the prefix-compressed block format (runfile.h;
-    /// JobConfig::compress_runs). Off = raw framed records.
-    bool compress_runs = true;
-    /// Maintain a per-run CRC-32 on raw-format spill files (off on the
-    /// hot path; block-format runs carry per-block CRCs regardless).
-    bool checksum_spills = false;
     /// Force the final flush to disk even when nothing ever spilled
     /// (normally it stays in memory, zero-copy). The fetch shuffle needs
     /// every run file-backed so the MapOutputServer can serve its
@@ -169,7 +157,7 @@ class SortBuffer {
   Status SpillSorted(bool final_flush);
   void SortBuckets();
   /// Emits one sorted bucket (optionally through the combiner) into `sink`,
-  /// which is either the in-memory run sink or the spill-writer sink.
+  /// which is either the in-memory run sink or the run writer.
   Status EmitBucket(const Bucket& bucket, RecordSink* sink);
   Status WriteRunToMemory(SpillRun* run);
   Status WriteRunToFile(SpillRun* run);
@@ -181,7 +169,7 @@ class SortBuffer {
   std::vector<SpillRun> runs_;
   uint64_t spill_count_ = 0;
   uint64_t spill_file_seq_ = 0;
-  /// One write buffer per task, lent to every SpillWriter this buffer
+  /// One write buffer per task, lent to every RunWriter this buffer
   /// creates — spill-heavy tasks no longer allocate per spill. Grows (up
   /// to `spill_buffer_bytes`) if a later spill wants a larger buffer.
   std::unique_ptr<char[]> spill_write_buffer_;

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "encoding/varint.h"
-
 namespace ngram::mr {
 
 SpillWriter::SpillWriter(std::string path, Options options)
@@ -32,13 +30,6 @@ Status SpillWriter::Open() {
     owned_buffer_ = std::make_unique<char[]>(options_.buffer_bytes);
     buffer_ = owned_buffer_.get();
   }
-  if (!options_.preamble.empty()) {
-    Status pst = AppendRawBytes(options_.preamble.data(),
-                                options_.preamble.size());
-    if (!pst.ok()) {
-      return pst;
-    }
-  }
   return Status::OK();
 }
 
@@ -46,9 +37,6 @@ Status SpillWriter::WriteDirect(const char* data, size_t n) {
   Status st = file_->Write(data, n);
   if (!st.ok()) {
     return st.WithContext("write spill " + path_);
-  }
-  if (options_.checksum) {
-    crc_ = Crc32(crc_, data, n);
   }
   return Status::OK();
 }
@@ -62,10 +50,11 @@ Status SpillWriter::FlushBuffer() {
   return st;
 }
 
-/// Stages `data` through the write buffer (flushing as needed); bytes
-/// larger than the whole buffer bypass it. Shared by framed and raw
-/// appends. Abandons (unlinking the partial file) on write failure.
-Status SpillWriter::BufferBytes(const char* data, size_t n) {
+Status SpillWriter::AppendRawBytes(const char* data, size_t n) {
+  if (closed_) {
+    return close_status_.ok() ? Status::Internal("spill writer closed")
+                              : close_status_;
+  }
   if (buffered_ + n > options_.buffer_bytes) {
     Status st = FlushBuffer();
     if (!st.ok()) {
@@ -86,57 +75,6 @@ Status SpillWriter::BufferBytes(const char* data, size_t n) {
   }
   bytes_written_ += n;
   return Status::OK();
-}
-
-Status SpillWriter::Append(Slice key, Slice value) {
-  if (closed_) {
-    return close_status_.ok() ? Status::Internal("spill writer closed")
-                              : close_status_;
-  }
-  char header[2 * kMaxVarint64Bytes];
-  char* header_end = EncodeVarint64To(header, key.size());
-  header_end = EncodeVarint64To(header_end, value.size());
-  const size_t header_len = static_cast<size_t>(header_end - header);
-
-  const size_t framed = header_len + key.size() + value.size();
-  if (buffered_ + framed > options_.buffer_bytes) {
-    Status st = FlushBuffer();
-    if (!st.ok()) {
-      Abandon();
-      return st;
-    }
-  }
-  if (framed > options_.buffer_bytes) {
-    // Oversized record: bypass the buffer (now empty) entirely.
-    Status st = WriteDirect(header, header_len);
-    if (st.ok() && !key.empty()) st = WriteDirect(key.data(), key.size());
-    if (st.ok() && !value.empty()) {
-      st = WriteDirect(value.data(), value.size());
-    }
-    if (!st.ok()) {
-      Abandon();
-      return st;
-    }
-  } else {
-    char* dst = buffer_ + buffered_;
-    memcpy(dst, header, header_len);
-    dst += header_len;
-    memcpy(dst, key.data(), key.size());
-    dst += key.size();
-    memcpy(dst, value.data(), value.size());
-    buffered_ += framed;
-  }
-  bytes_written_ += framed;
-  ++records_written_;
-  return Status::OK();
-}
-
-Status SpillWriter::AppendRawBytes(const char* data, size_t n) {
-  if (closed_) {
-    return close_status_.ok() ? Status::Internal("spill writer closed")
-                              : close_status_;
-  }
-  return BufferBytes(data, n);
 }
 
 Status SpillWriter::Close() {
@@ -191,29 +129,6 @@ void SpillWriter::Abandon() {
   if (close_status_.ok()) {
     close_status_ = Status::Internal("spill writer abandoned");
   }
-}
-
-Status VerifySpillFileCrc32(const std::string& path, uint32_t expected,
-                            IoEnv* env) {
-  std::unique_ptr<ReadableFile> file;
-  Status st = ResolveEnv(env)->NewReadableFile(path, 0, &file);
-  if (!st.ok()) {
-    return st.WithContext("verify spill CRC");
-  }
-  char buf[64 * 1024];
-  uint32_t crc = 0;
-  size_t n = 0;
-  do {
-    st = file->Read(buf, sizeof(buf), &n);
-    if (!st.ok()) {
-      return st.WithContext("verify spill CRC");
-    }
-    crc = Crc32(crc, buf, n);
-  } while (n > 0);
-  if (crc != expected) {
-    return Status::Corruption("spill CRC mismatch reading " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace ngram::mr

@@ -78,9 +78,6 @@ Status ShuffleFetcher::Mirror(uint32_t task, uint32_t generation,
       }
       WireRun wire;
       wire.path = run.file_path;
-      wire.block_format = run.block_format;
-      wire.has_crc = run.has_crc;
-      wire.crc32 = run.crc32;
       wire.segments.reserve(run.segments.size());
       for (const mr::RunSegment& seg : run.segments) {
         wire.segments.push_back(
@@ -161,9 +158,6 @@ Status ShuffleFetcher::Mirror(uint32_t task, uint32_t generation,
         return rst.WithContext("committing fetched run " + clone.file_path);
       }
       clone.segments = src.segments;
-      clone.crc32 = src.crc32;
-      clone.has_crc = src.has_crc;
-      clone.block_format = src.block_format;
       fetched->push_back(std::move(clone));
     }
     return Status::OK();

@@ -141,9 +141,6 @@ void EncodePublishRequest(const PublishRequest& req, std::string* out) {
   for (const WireRun& run : req.runs) {
     PutVarint64(out, run.path.size());
     out->append(run.path);
-    out->push_back(run.block_format ? 1 : 0);
-    out->push_back(run.has_crc ? 1 : 0);
-    PutFixed32(out, run.crc32);
     PutVarint64(out, run.segments.size());
     for (const WireSegment& seg : run.segments) {
       PutVarint64(out, seg.offset);
@@ -162,9 +159,11 @@ bool DecodePublishRequest(Slice in, PublishRequest* req) {
     return false;
   }
   // A manifest names at most a task's spill files; an absurd count is a
-  // decode gone off the rails, not a big job.
+  // decode gone off the rails, not a big job. So is a count the remaining
+  // bytes cannot hold — a run takes at least 2 bytes (path length and
+  // segment count varints) — and both are refused before any reserve().
   if (task > 0xffffffffULL || generation > 0xffffffffULL ||
-      num_runs > (1u << 20)) {
+      num_runs > (1u << 20) || num_runs > in.size() / 2) {
     return false;
   }
   req->task = static_cast<uint32_t>(task);
@@ -179,15 +178,10 @@ bool DecodePublishRequest(Slice in, PublishRequest* req) {
     }
     run.path.assign(in.data(), path_len);
     in.RemovePrefix(path_len);
-    if (in.size() < 6) {  // flags + fixed32 crc.
-      return false;
-    }
-    run.block_format = in.data()[0] != 0;
-    run.has_crc = in.data()[1] != 0;
-    run.crc32 = DecodeFixed32(in.data() + 2);
-    in.RemovePrefix(6);
     uint64_t num_segments = 0;
-    if (!GetVarint64(&in, &num_segments) || num_segments > (1u << 24)) {
+    // A segment takes at least 3 bytes (three varints).
+    if (!GetVarint64(&in, &num_segments) || num_segments > (1u << 24) ||
+        num_segments > in.size() / 3) {
       return false;
     }
     run.segments.reserve(num_segments);

@@ -58,13 +58,10 @@ struct WireSegment {
   uint64_t num_records = 0;
 };
 
-/// One committed run of a published map task: where its file lives on the
-/// serving side, how to decode it, and its per-partition extents.
+/// One committed run of a published map task: where its block-format file
+/// lives on the serving side and its per-partition extents.
 struct WireRun {
   std::string path;
-  bool block_format = false;
-  bool has_crc = false;
-  uint32_t crc32 = 0;
   std::vector<WireSegment> segments;
 };
 

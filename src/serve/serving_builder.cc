@@ -96,15 +96,13 @@ Status BuildServingShards(const NgramStatistics& stats,
     shard.file_name = ShardFileName(s);
     const std::string path = dir + "/" + shard.file_name;
     mr::RunWriterOptions writer_options;
-    writer_options.compress = true;
     // Block boundaries are driven from here (so their extents can be
     // recorded); disable the writer's own size trigger.
     writer_options.block_bytes = std::numeric_limits<size_t>::max();
     writer_options.restart_interval = options.restart_interval;
     writer_options.env = options.env;
-    std::unique_ptr<mr::RunWriter> writer =
-        mr::NewRunWriter(path, writer_options);
-    Status st = writer->Open();
+    mr::RunWriter writer(path, writer_options);
+    Status st = writer.Open();
 
     uint64_t block_start = 0;
     size_t block_payload = 0;  // Raw-size estimate of the open block.
@@ -113,16 +111,16 @@ Status BuildServingShards(const NgramStatistics& stats,
       if (block_payload == 0) {
         return Status::OK();
       }
-      Status fs = writer->FinishSegment();
+      Status fs = writer.FinishSegment();
       if (!fs.ok()) {
         return fs;
       }
       BlockEntry block;
       block.first_key = block_first_key;
       block.offset = block_start;
-      block.length = writer->bytes_written() - block_start;
+      block.length = writer.bytes_written() - block_start;
       shard.blocks.push_back(std::move(block));
-      block_start = writer->bytes_written();
+      block_start = writer.bytes_written();
       block_payload = 0;
       return Status::OK();
     };
@@ -138,7 +136,7 @@ Status BuildServingShards(const NgramStatistics& stats,
       }
       value.clear();
       PutVarint64(&value, row.count);
-      st = writer->Append(row.key, value);
+      st = writer.Append(row.key, value);
       if (!st.ok()) {
         break;
       }
@@ -153,14 +151,14 @@ Status BuildServingShards(const NgramStatistics& stats,
       st = finish_block();
     }
     if (!st.ok()) {
-      writer->Abandon();
+      writer.Abandon();
       return st;
     }
-    st = writer->Close();
+    st = writer.Close();
     if (!st.ok()) {
       return st;
     }
-    shard.file_size = writer->bytes_written();
+    shard.file_size = writer.bytes_written();
     shard.num_records = next_row - first_row;
     shard.min_key = rows[first_row].key;
     shard.max_key = rows[next_row - 1].key;

@@ -1,7 +1,7 @@
 // Incremental CRC-32 (zlib polynomial, reflected) shared by every
-// persisted byte path: run-file blocks, raw spill runs, and KV-store
-// segment records all use this one routine, so a checksum written by any
-// layer can be re-verified with the same call.
+// persisted byte path: run-file blocks, serving manifests, wire frames,
+// and KV-store segment records all use this one routine, so a checksum
+// written by any layer can be re-verified with the same call.
 #pragma once
 
 #include <cstddef>

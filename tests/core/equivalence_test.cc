@@ -190,31 +190,56 @@ TEST(EquivalenceTest, CombinerOnOffAgree) {
   }
 }
 
+/// Asserts a single-job method's work oracle: NAIVE and SUFFIX-sigma
+/// emit exactly the map records brute_force counts over the same pieces.
+/// Other methods have no oracle yet and pass trivially.
+void ExpectExactMapOutputRecords(const Corpus& corpus,
+                                 const NgramJobOptions& options,
+                                 const mr::RunMetrics& metrics) {
+  uint64_t expected = 0;
+  if (options.method == Method::kNaive) {
+    expected = BruteForceNaiveMapOutputRecords(
+        corpus, options.tau, options.sigma, options.document_splits);
+  } else if (options.method == Method::kSuffixSigma) {
+    expected = BruteForceSuffixSigmaMapOutputRecords(
+        corpus, options.tau, options.document_splits);
+  } else {
+    return;
+  }
+  EXPECT_EQ(metrics.map_output_records(), expected)
+      << MethodName(options.method)
+      << " merge_factor=" << options.merge_factor;
+}
+
 TEST(EquivalenceTest, CompressionOnOffAgreeAcrossMethodsAndMergeFactors) {
-  // compress_runs changes only the at-rest run representation; every
-  // method must produce identical statistics with it on or off, across
-  // bounded, small-bound, and unbounded merge fan-in, with spill-heavy
-  // sort buffers so the compressed paths (spills, map-side final merges,
-  // reduce-side intermediate passes) all actually run.
+  // Compression on: 2 KiB sort buffers push every shuffled byte through
+  // the block run format — spills, map-side final merges, reduce-side
+  // intermediate passes. Off: the reference run's records never leave
+  // memory. Every method must produce identical statistics either way,
+  // across small-bound, bounded, and unbounded merge fan-in, and NAIVE
+  // and SUFFIX-sigma must emit exactly the map records their work
+  // oracles count.
   const Corpus corpus = testing::RandomCorpus(99, 60, 6, 3, 12);
   const CorpusContext ctx = BuildCorpusContext(corpus);
   for (Method method :
        {Method::kNaive, Method::kAprioriScan, Method::kAprioriIndex,
         Method::kSuffixSigma}) {
+    NgramJobOptions unspilled = testing::TestOptions(method, 2, 4);
+    unspilled.sort_buffer_bytes = 64 << 20;
+    auto reference = ComputeNgramStatistics(ctx, unspilled);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(reference->metrics.TotalCounter(mr::kSpillFiles), 0u);
+    ExpectExactMapOutputRecords(corpus, unspilled, reference->metrics);
     for (uint32_t merge_factor : {2u, 16u, 0u}) {
-      NgramJobOptions on = testing::TestOptions(method, 2, 4);
-      on.sort_buffer_bytes = 2048;
-      on.merge_factor = merge_factor;
-      on.compress_runs = true;
-      NgramJobOptions off = on;
-      off.compress_runs = false;
-      auto a = ComputeNgramStatistics(ctx, on);
-      auto b = ComputeNgramStatistics(ctx, off);
-      ASSERT_TRUE(a.ok()) << a.status().ToString();
-      ASSERT_TRUE(b.ok()) << b.status().ToString();
-      EXPECT_GT(a->metrics.TotalCounter(mr::kSpillFiles), 0u);
-      EXPECT_TRUE(a->stats.SameAs(b->stats))
+      NgramJobOptions spilled = unspilled;
+      spilled.sort_buffer_bytes = 2048;
+      spilled.merge_factor = merge_factor;
+      auto run = ComputeNgramStatistics(ctx, spilled);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_GT(run->metrics.TotalCounter(mr::kSpillFiles), 0u);
+      EXPECT_TRUE(run->stats.SameAs(reference->stats))
           << MethodName(method) << " merge_factor=" << merge_factor;
+      ExpectExactMapOutputRecords(corpus, spilled, run->metrics);
     }
   }
 }
@@ -245,32 +270,33 @@ TEST(EquivalenceTest, EarlyShuffleOnOffAgreeAcrossMethods) {
 }
 
 TEST(EquivalenceTest, CompressionOnOffAgreeForMaximalAndClosed) {
+  // As above for the maximality and closedness post-filters: spilled
+  // through the block format vs never leaving memory.
   const Corpus corpus = testing::RandomCorpus(111, 50, 6, 3, 12);
   const CorpusContext ctx = BuildCorpusContext(corpus);
   using Variant = Result<NgramRun> (*)(const CorpusContext&,
                                        const NgramJobOptions&);
   for (Variant variant : {static_cast<Variant>(&RunSuffixSigmaMaximal),
                           static_cast<Variant>(&RunSuffixSigmaClosed)}) {
-    NgramJobOptions on = testing::TestOptions(Method::kSuffixSigma, 2, 4);
-    on.sort_buffer_bytes = 2048;
-    on.compress_runs = true;
-    NgramJobOptions off = on;
-    off.compress_runs = false;
-    auto a = variant(ctx, on);
-    auto b = variant(ctx, off);
+    NgramJobOptions unspilled =
+        testing::TestOptions(Method::kSuffixSigma, 2, 4);
+    unspilled.sort_buffer_bytes = 64 << 20;
+    NgramJobOptions spilled = unspilled;
+    spilled.sort_buffer_bytes = 2048;
+    auto a = variant(ctx, spilled);
+    auto b = variant(ctx, unspilled);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
-    a->stats.SortCanonical();
-    b->stats.SortCanonical();
+    EXPECT_GT(a->metrics.TotalCounter(mr::kSpillFiles), 0u);
+    EXPECT_EQ(b->metrics.TotalCounter(mr::kSpillFiles), 0u);
     EXPECT_TRUE(a->stats.SameAs(b->stats));
   }
 }
 
 TEST(EquivalenceTest, CompressedRunsShrinkSuffixSigmaSpills) {
-  // The acceptance-shaped claim: on spill-heavy SUFFIX-sigma runs —
-  // rev-lex-sorted truncated suffixes whose neighbors share long byte
-  // prefixes — the block format writes measurably fewer at-rest bytes
-  // than the raw framing it replaces.
+  // On spill-heavy SUFFIX-sigma runs — rev-lex-sorted truncated suffixes
+  // whose neighbors share long byte prefixes — the block format writes
+  // measurably fewer at-rest bytes than the records' in-memory framing.
   const Corpus corpus = testing::RandomCorpus(123, 120, 10, 4, 16);
   const CorpusContext ctx = BuildCorpusContext(corpus);
   NgramJobOptions options = testing::TestOptions(Method::kSuffixSigma, 2, 5);

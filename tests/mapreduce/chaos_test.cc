@@ -20,6 +20,7 @@
 #include "mapreduce/dataset.h"
 #include "mapreduce/io_env.h"
 #include "mapreduce/job.h"
+#include "mapreduce/runfile.h"
 #include "net/fault_transport.h"
 #include "net/inproc_transport.h"
 #include "util/temp_dir.h"
@@ -186,13 +187,10 @@ size_t FilesIn(const std::string& dir) {
   return n;
 }
 
-/// Spill-heavy base config. checksum_spills is forced on whenever
-/// compress_runs is off: raw runs carry no inherent CRC, so an
-/// unchecksummed raw run would let a bit flip through *silently* — the
-/// exact outcome the dichotomy forbids. (Block-format runs verify per
-/// block unconditionally.)
-JobConfig ChaosConfig(bool compress, uint32_t merge_factor,
-                      uint32_t shuffle_slots = 0) {
+/// Spill-heavy base config. Every run file verifies its block CRCs as it
+/// is read, so an injected bit flip can never pass *silently* — the
+/// outcome the dichotomy forbids.
+JobConfig ChaosConfig(uint32_t merge_factor, uint32_t shuffle_slots = 0) {
   JobConfig config;
   config.sort_buffer_bytes = 512;
   config.num_map_tasks = 3;
@@ -201,36 +199,39 @@ JobConfig ChaosConfig(bool compress, uint32_t merge_factor,
   config.reduce_slots = 1;
   config.merge_factor = merge_factor;
   config.shuffle_slots = shuffle_slots;
-  config.compress_runs = compress;
-  config.checksum_spills = !compress;
   config.max_task_attempts = 3;
   return config;
 }
 
 // ------------------------------------------------------------ seed sweep
 
+/// A config's seeds are `seed_base + i`. The bases are explicit so a
+/// config keeps replaying the same fault plans when others are added or
+/// dropped: each is 100003 times the position the config first had in
+/// this sweep.
 struct SweepConfig {
-  bool compress;
   uint32_t merge_factor;
   uint32_t shuffle_slots;
+  uint64_t seed_base;
 };
 
 constexpr SweepConfig kSweepConfigs[] = {
-    {true, 2, 0},  {true, 16, 0},  {true, 0, 0},
-    {false, 2, 0}, {false, 16, 0}, {false, 0, 0},
+    {2, 0, 0 * 100003},
+    {16, 0, 1 * 100003},
+    {0, 0, 2 * 100003},
     // Early shuffle on: eager merge workers race the injected faults, so
     // op placement is not replayable seed-to-seed — the dichotomy itself
     // must still hold, with the scheduling-dependent merge accounting
     // stripped from the counter comparison.
-    {true, 2, 2},  {true, 16, 2},  {false, 2, 2},
+    {2, 2, 6 * 100003},
+    {16, 2, 7 * 100003},
 };
-constexpr uint64_t kSeedsPerConfig = 60;  // 540 seeds total.
+constexpr uint64_t kSeedsPerConfig = 60;  // 300 seeds total.
 
 TEST(ChaosTest, SweptSeedsUpholdTheDichotomy) {
-  for (size_t c = 0; c < std::size(kSweepConfigs); ++c) {
-    const SweepConfig& sweep = kSweepConfigs[c];
-    const JobConfig config = ChaosConfig(sweep.compress, sweep.merge_factor,
-                                         sweep.shuffle_slots);
+  for (const SweepConfig& sweep : kSweepConfigs) {
+    const JobConfig config =
+        ChaosConfig(sweep.merge_factor, sweep.shuffle_slots);
     const bool overlap = sweep.shuffle_slots > 0;
     const auto strip = [overlap](const std::map<std::string, uint64_t>& c) {
       return overlap ? StripSchedulingCounters(c) : StripRecoveryCounters(c);
@@ -244,7 +245,7 @@ TEST(ChaosTest, SweptSeedsUpholdTheDichotomy) {
     const auto baseline_counters = strip(baseline.counters);
 
     for (uint64_t i = 0; i < kSeedsPerConfig; ++i) {
-      const uint64_t seed = c * 100003 + i;
+      const uint64_t seed = sweep.seed_base + i;
       const FaultPlan plan = FaultPlan::FromSeed(seed);
       FaultEnv env(IoEnv::Default(), plan);
       auto dir = TempDir::Create("chaos");
@@ -254,7 +255,6 @@ TEST(ChaosTest, SweptSeedsUpholdTheDichotomy) {
 
       const std::string label =
           "seed=" + std::to_string(seed) + " plan=" + plan.ToString() +
-          " compress=" + std::to_string(sweep.compress) +
           " merge_factor=" + std::to_string(sweep.merge_factor) +
           " shuffle_slots=" + std::to_string(sweep.shuffle_slots);
       if (result.status.ok()) {
@@ -284,7 +284,7 @@ TEST(ChaosTest, DichotomyHoldsUnderConcurrency) {
   // Multi-slot: op placement is racy, so runs are not comparable
   // seed-to-seed — but the dichotomy itself must hold under any
   // interleaving.
-  JobConfig config = ChaosConfig(/*compress=*/true, /*merge_factor=*/2);
+  JobConfig config = ChaosConfig(/*merge_factor=*/2);
   config.map_slots = 2;
   config.reduce_slots = 2;
 
@@ -322,8 +322,7 @@ TEST(ChaosTest, DichotomyHoldsUnderConcurrency) {
 /// pipeline must finish byte-identical to the fault-free run — data
 /// counters included — at every injection point.
 TEST(ChaosTest, EveryInjectionPointRecoversToIdenticalOutput) {
-  const JobConfig config = ChaosConfig(/*compress=*/true,
-                                       /*merge_factor=*/0);
+  const JobConfig config = ChaosConfig(/*merge_factor=*/0);
   auto baseline_dir = TempDir::Create("chaos-points-baseline");
   ASSERT_TRUE(baseline_dir.ok());
   const PipelineResult baseline =
@@ -367,7 +366,7 @@ TEST(ChaosTest, EveryInjectionPointRecoversToIdenticalOutput) {
 /// runs first), triggers re-execution of the producing map task and the
 /// job still completes correctly.
 TEST(ChaosTest, BitFlippedMapRunTriggersProducerReexecution) {
-  JobConfig config = ChaosConfig(/*compress=*/true, /*merge_factor=*/0);
+  JobConfig config = ChaosConfig(/*merge_factor=*/0);
   config.max_task_attempts = 2;
 
   auto baseline_dir = TempDir::Create("flip-baseline");
@@ -403,8 +402,7 @@ TEST(ChaosTest, BitFlippedMapRunTriggersProducerReexecution) {
 /// eager output built over it, and the job must still complete
 /// byte-identical to its fault-free overlap baseline.
 TEST(ChaosTest, BitFlippedMapRunRecoversWithEarlyShuffle) {
-  JobConfig config = ChaosConfig(/*compress=*/true, /*merge_factor=*/16,
-                                 /*shuffle_slots=*/2);
+  JobConfig config = ChaosConfig(/*merge_factor=*/16, /*shuffle_slots=*/2);
   config.max_task_attempts = 2;
 
   auto baseline_dir = TempDir::Create("flip-early-baseline");
@@ -436,7 +434,7 @@ TEST(ChaosTest, BitFlippedMapRunRecoversWithEarlyShuffle) {
 /// corruption is unrecoverable and must surface as a clean Corruption
 /// failure with a clean work_dir — not a wrong answer.
 TEST(ChaosTest, ExhaustedReexecutionBudgetFailsCleanly) {
-  JobConfig config = ChaosConfig(/*compress=*/true, /*merge_factor=*/0);
+  JobConfig config = ChaosConfig(/*merge_factor=*/0);
   config.max_task_attempts = 1;
 
   FaultPlan plan;
@@ -475,63 +473,47 @@ std::map<std::string, uint64_t> StripFetchCounters(
 /// never orphan clone files. Transit CRCs turn silent bit flips into
 /// clean request failures, so the bit-flip arm exercises the frame CRC.
 TEST(ChaosTest, FetchTransportFaultsUpholdTheDichotomy) {
-  struct FetchSweepConfig {
-    bool compress;
-    uint32_t merge_factor;
-  };
-  constexpr FetchSweepConfig kFetchConfigs[] = {
-      {true, 2},
-      {false, 0},
-  };
-  constexpr uint64_t kFetchSeedsPerConfig = 60;  // 120 seeds total.
+  constexpr uint64_t kFetchSeeds = 60;  // Seeds 0..59.
+  JobConfig config = ChaosConfig(/*merge_factor=*/2);
+  config.fetch_shuffle = true;
 
-  for (size_t c = 0; c < std::size(kFetchConfigs); ++c) {
-    JobConfig config = ChaosConfig(kFetchConfigs[c].compress,
-                                   kFetchConfigs[c].merge_factor);
-    config.fetch_shuffle = true;
+  auto baseline_dir = TempDir::Create("fetch-chaos-baseline");
+  ASSERT_TRUE(baseline_dir.ok());
+  const PipelineResult baseline =
+      RunPipeline(config, nullptr, baseline_dir->path().string());
+  ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
+  const auto baseline_counters =
+      StripFetchCounters(StripRecoveryCounters(baseline.counters));
 
-    auto baseline_dir = TempDir::Create("fetch-chaos-baseline");
-    ASSERT_TRUE(baseline_dir.ok());
-    const PipelineResult baseline =
-        RunPipeline(config, nullptr, baseline_dir->path().string());
-    ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
-    const auto baseline_counters =
-        StripFetchCounters(StripRecoveryCounters(baseline.counters));
+  for (uint64_t seed = 0; seed < kFetchSeeds; ++seed) {
+    const net::TransportFaultPlan plan =
+        net::TransportFaultPlan::FromSeed(seed);
+    net::InProcTransport base_transport;
+    net::FaultTransport transport(&base_transport, plan);
+    JobConfig faulty = config;
+    faulty.shuffle_transport_override = &transport;
 
-    for (uint64_t i = 0; i < kFetchSeedsPerConfig; ++i) {
-      const uint64_t seed = c * 100003 + i;
-      const net::TransportFaultPlan plan =
-          net::TransportFaultPlan::FromSeed(seed);
-      net::InProcTransport base_transport;
-      net::FaultTransport transport(&base_transport, plan);
-      JobConfig faulty = config;
-      faulty.shuffle_transport_override = &transport;
+    auto dir = TempDir::Create("fetch-chaos");
+    ASSERT_TRUE(dir.ok());
+    const std::string work_dir = dir->path().string();
+    const PipelineResult result = RunPipeline(faulty, nullptr, work_dir);
 
-      auto dir = TempDir::Create("fetch-chaos");
-      ASSERT_TRUE(dir.ok());
-      const std::string work_dir = dir->path().string();
-      const PipelineResult result = RunPipeline(faulty, nullptr, work_dir);
-
-      const std::string label =
-          "seed=" + std::to_string(seed) + " plan=" + plan.ToString() +
-          " compress=" + std::to_string(kFetchConfigs[c].compress) +
-          " merge_factor=" +
-          std::to_string(kFetchConfigs[c].merge_factor);
-      if (result.status.ok()) {
-        EXPECT_EQ(result.output_bytes, baseline.output_bytes) << label;
-        EXPECT_EQ(StripFetchCounters(StripRecoveryCounters(result.counters)),
-                  baseline_counters)
-            << label;
-      } else {
-        EXPECT_TRUE(transport.fault_fired())
-            << label << ": failed without the fault firing: "
-            << result.status.ToString();
-      }
-      EXPECT_EQ(FilesIn(work_dir), 0u)
-          << label << " status=" << result.status.ToString();
-      if (!transport.fault_fired()) {
-        EXPECT_TRUE(result.status.ok()) << label;
-      }
+    const std::string label =
+        "seed=" + std::to_string(seed) + " plan=" + plan.ToString();
+    if (result.status.ok()) {
+      EXPECT_EQ(result.output_bytes, baseline.output_bytes) << label;
+      EXPECT_EQ(StripFetchCounters(StripRecoveryCounters(result.counters)),
+                baseline_counters)
+          << label;
+    } else {
+      EXPECT_TRUE(transport.fault_fired())
+          << label << ": failed without the fault firing: "
+          << result.status.ToString();
+    }
+    EXPECT_EQ(FilesIn(work_dir), 0u)
+        << label << " status=" << result.status.ToString();
+    if (!transport.fault_fired()) {
+      EXPECT_TRUE(result.status.ok()) << label;
     }
   }
 }
@@ -544,7 +526,7 @@ TEST(ChaosTest, FetchTransportFaultsUpholdTheDichotomy) {
 /// re-execution (re-publish + re-fetch) must repair it — the chain that
 /// makes fetch failures equivalent to local corruption.
 TEST(ChaosTest, CorruptFetchedRunTriggersProducerReexecution) {
-  JobConfig config = ChaosConfig(/*compress=*/true, /*merge_factor=*/0);
+  JobConfig config = ChaosConfig(/*merge_factor=*/0);
   config.fetch_shuffle = true;
   config.max_task_attempts = 2;
 
@@ -595,10 +577,10 @@ TEST(ChaosTest, FaultPlansAreDeterministicAndSingleShot) {
   auto dir = TempDir::Create("single-shot");
   ASSERT_TRUE(dir.ok());
   const std::string path = (dir->path() / "run").string();
+  RunWriterOptions options;
+  options.env = &env;
   {
-    SpillWriter::Options options;
-    options.env = &env;
-    SpillWriter writer(path, options);
+    RunWriter writer(path, options);
     ASSERT_TRUE(writer.Open().ok());
     ASSERT_TRUE(writer.Append("k", "v").ok());  // Buffered; no I/O yet.
     EXPECT_FALSE(writer.Close().ok());          // Flush hits the fault.
@@ -606,9 +588,7 @@ TEST(ChaosTest, FaultPlansAreDeterministicAndSingleShot) {
   EXPECT_TRUE(env.fault_fired());
   // Second writer against the same env: the plan is spent, I/O passes.
   {
-    SpillWriter::Options options;
-    options.env = &env;
-    SpillWriter writer(path, options);
+    RunWriter writer(path, options);
     ASSERT_TRUE(writer.Open().ok());
     ASSERT_TRUE(writer.Append("k", "v").ok());
     EXPECT_TRUE(writer.Close().ok()) << "plan must fire exactly once";
@@ -630,9 +610,9 @@ TEST(ChaosTest, WriteFaultsLeaveNothingAtTheCommittedPath) {
     auto dir = TempDir::Create("write-fault");
     ASSERT_TRUE(dir.ok());
     const std::string path = (dir->path() / "run").string();
-    SpillWriter::Options options;
+    RunWriterOptions options;
     options.env = &env;
-    SpillWriter writer(path, options);
+    RunWriter writer(path, options);
     ASSERT_TRUE(writer.Open().ok());
     ASSERT_TRUE(writer.Append("key", "value").ok());
     const Status st = writer.Close();
@@ -655,19 +635,18 @@ TEST(ChaosTest, ReadFaultSurfacesAsIoErrorNamingTheFile) {
   const std::string path = (dir->path() / "run").string();
   uint64_t length = 0;
   {
-    SpillWriter writer(path);
+    RunWriter writer(path, RunWriterOptions{});
     ASSERT_TRUE(writer.Open().ok());
     ASSERT_TRUE(writer.Append("key", "value").ok());
-    length = writer.bytes_written();
     ASSERT_TRUE(writer.Close().ok());
+    length = writer.bytes_written();
   }
   FaultPlan plan;
   plan.kind = FaultPlan::Kind::kReadError;
   plan.op = 1;
   FaultEnv env(IoEnv::Default(), plan);
   FileRecordReader reader(path, 0, length,
-                          FileRecordReader::kDefaultBufferBytes,
-                          RunFormat::kRawRecords, &env);
+                          FileRecordReader::kDefaultBufferBytes, &env);
   EXPECT_FALSE(reader.Next());
   const Status st = reader.status();
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
@@ -682,22 +661,24 @@ TEST(ChaosTest, BitFlipIsSilentOnWriteAndCaughtByChecksum) {
   FaultPlan plan;
   plan.kind = FaultPlan::Kind::kBitFlip;
   plan.op = 1;
-  plan.bit = 3;
+  plan.bit = 8 * 4 + 3;  // Byte 4 of the one written buffer: the payload.
   FaultEnv env(IoEnv::Default(), plan);
-  SpillWriter::Options options;
-  options.checksum = true;
+  RunWriterOptions options;
   options.env = &env;
-  SpillWriter writer(path, options);
+  RunWriter writer(path, options);
   ASSERT_TRUE(writer.Open().ok());
   ASSERT_TRUE(writer.Append("key", "value").ok());
   // The flip is *silent*: the write succeeds and the run commits.
   ASSERT_TRUE(writer.Close().ok());
   EXPECT_TRUE(env.fault_fired());
   ASSERT_TRUE(std::filesystem::exists(path));
-  // The writer's running CRC covers the logical bytes, the file holds the
-  // flipped ones: verification must refuse the run and name it.
-  const Status st = VerifySpillFileCrc32(path, writer.crc32());
+  // The block CRC covers the logical bytes, the file holds the flipped
+  // ones: reading must refuse the run and name it.
+  FileRecordReader reader(path, 0, writer.bytes_written());
+  EXPECT_FALSE(reader.Next());
+  const Status st = reader.status();
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find("CRC"), std::string::npos) << st.ToString();
   EXPECT_NE(st.message().find(path), std::string::npos) << st.ToString();
 }
 
@@ -717,11 +698,11 @@ TEST(ChaosTest, TableSaveLoadUpholdsTheDichotomy) {
     plan.kind = FaultPlan::Kind::kWriteError;
     plan.op = 1;
     FaultEnv env(IoEnv::Default(), plan);
-    EXPECT_FALSE(table.Save(path, /*compress=*/true, &env).ok());
+    EXPECT_FALSE(table.Save(path, &env).ok());
     EXPECT_EQ(FilesIn(dir->path().string()), 0u);
   }
-  // Silent bit flip during Save: the compressed boundary file's block
-  // CRCs surface it as Corruption at Load — never as wrong records.
+  // Silent bit flip during Save: the boundary file's block CRCs surface
+  // it as Corruption at Load — never as wrong records.
   {
     auto dir = TempDir::Create("table-flip");
     ASSERT_TRUE(dir.ok());
@@ -731,7 +712,7 @@ TEST(ChaosTest, TableSaveLoadUpholdsTheDichotomy) {
     plan.op = 1;
     plan.bit = 100;
     FaultEnv env(IoEnv::Default(), plan);
-    ASSERT_TRUE(table.Save(path, /*compress=*/true, &env).ok());
+    ASSERT_TRUE(table.Save(path, &env).ok());
     EXPECT_TRUE(env.fault_fired());
     RecordTable loaded;
     const Status st = RecordTable::Load(path, &loaded);

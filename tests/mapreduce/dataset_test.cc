@@ -160,24 +160,53 @@ RecordTable BoundaryTable(int rows) {
   return table;
 }
 
-TEST(RecordTableFileTest, SaveLoadRoundTripsBothFormats) {
+TEST(RecordTableFileTest, SaveLoadRoundTrips) {
   auto dir = TempDir::Create("table-file");
   ASSERT_TRUE(dir.ok());
   const RecordTable table = BoundaryTable(3000);
-  for (bool compress : {true, false}) {
-    const std::string path =
-        dir->File(compress ? "compressed.tbl" : "raw.tbl");
-    ASSERT_TRUE(table.Save(path, compress).ok());
+  const std::string path = dir->File("boundary.tbl");
+  ASSERT_TRUE(table.Save(path).ok());
+  RecordTable loaded;
+  ASSERT_TRUE(RecordTable::Load(path, &loaded).ok());
+  EXPECT_EQ(loaded.num_records(), table.num_records());
+  EXPECT_EQ(loaded.byte_size(), table.byte_size());
+  EXPECT_EQ(ReadAll(loaded), ReadAll(table));
+  // The block format stores shared key prefixes once: the file, header
+  // included, is smaller than the table's framed records.
+  EXPECT_LT(std::filesystem::file_size(path), table.byte_size());
+}
+
+TEST(RecordTableFileTest, FormatByteOtherThanBlocksIsCorruption) {
+  // Header byte 5 names the at-rest format. Save() writes 1 (the block
+  // format) so existing table files keep loading; any other value —
+  // 0 included — is refused rather than misread.
+  auto dir = TempDir::Create("table-file-format");
+  ASSERT_TRUE(dir.ok());
+  const RecordTable table = BoundaryTable(100);
+  const std::string path = dir->File("boundary.tbl");
+  ASSERT_TRUE(table.Save(path).ok());
+  for (const char format : {'\0', '\2'}) {
+    {
+      std::fstream file(path,
+                        std::ios::in | std::ios::out | std::ios::binary);
+      file.seekg(5);
+      char byte = 0;
+      file.get(byte);
+      EXPECT_EQ(byte, 1);
+      file.seekp(5);
+      file.put(format);
+    }
     RecordTable loaded;
+    const Status st = RecordTable::Load(path, &loaded);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    {
+      std::fstream file(path,
+                        std::ios::in | std::ios::out | std::ios::binary);
+      file.seekp(5);
+      file.put(1);
+    }
     ASSERT_TRUE(RecordTable::Load(path, &loaded).ok());
-    EXPECT_EQ(loaded.num_records(), table.num_records());
-    EXPECT_EQ(loaded.byte_size(), table.byte_size());
-    EXPECT_EQ(ReadAll(loaded), ReadAll(table));
   }
-  // The compressed boundary file is smaller than the raw one (keys share
-  // prefixes), header included.
-  EXPECT_LT(std::filesystem::file_size(dir->File("compressed.tbl")),
-            std::filesystem::file_size(dir->File("raw.tbl")));
 }
 
 TEST(RecordTableFileTest, EmptyTableRoundTrips) {

@@ -264,19 +264,17 @@ TEST(EarlyShuffleTest, WorkDirCleanAfterOverlapJobs) {
 SpillRun WriteRun(
     const std::string& path,
     const std::vector<std::pair<std::string, std::string>>& records) {
-  RunWriterOptions options;
-  auto writer = NewRunWriter(path, options);
-  EXPECT_TRUE(writer->Open().ok());
+  RunWriter writer(path, RunWriterOptions{});
+  EXPECT_TRUE(writer.Open().ok());
   for (const auto& [k, v] : records) {
-    EXPECT_TRUE(writer->Append(k, v).ok());
+    EXPECT_TRUE(writer.Append(k, v).ok());
   }
-  EXPECT_TRUE(writer->FinishSegment().ok());
-  EXPECT_TRUE(writer->Close().ok());
+  EXPECT_TRUE(writer.FinishSegment().ok());
+  EXPECT_TRUE(writer.Close().ok());
   SpillRun run;
   run.file_path = path;
-  run.segments = {{0, writer->bytes_written(),
+  run.segments = {{0, writer.bytes_written(),
                    static_cast<uint64_t>(records.size())}};
-  run.block_format = writer->block_format();
   return run;
 }
 
@@ -298,7 +296,6 @@ struct PlanFixture {
   std::vector<const SpillRun*> pointers;
   Counters counters;
   TaskCounters tc{&counters};
-  RunCrcVerifier verifier;
 
   ExternalMergeOptions Options(const std::string& work_dir,
                                uint32_t merge_factor) {
@@ -306,7 +303,6 @@ struct PlanFixture {
     options.merge_factor = merge_factor;
     options.work_dir = work_dir;
     options.name_prefix = "plan-test";
-    options.verifier = &verifier;
     options.counters = &tc;
     return options;
   }

@@ -1,6 +1,6 @@
 // Bounded-fan-in external merge at scale: many-spill stress, byte-identical
 // determinism across merge factors, fd-pressure under a lowered RLIMIT_NOFILE,
-// and CRC verification of checksummed runs on the reduce-side read path.
+// and block-CRC verification of damaged runs on the reduce-side read path.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -140,6 +140,15 @@ TEST(MergeStressTest, ByteIdenticalAcrossMergeFactors) {
       RecordTable output;
       auto metrics = RunStressJob(config, 120, 6, &output);
       ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+      // This workload's short keys share little prefix and its 1 KiB runs
+      // pay block framing per handful of records, so at-rest bytes may
+      // exceed the record framing slightly; bound that overhead. The
+      // compression *win* on realistic sorted keys is asserted in
+      // SortBufferTest.CompressedSpillsShrinkAndCountRunBytes and
+      // EquivalenceTest.CompressedRunsShrinkSuffixSigmaSpills.
+      EXPECT_GT(metrics->Counter(kRunBytesWritten), 0u);
+      EXPECT_LT(metrics->Counter(kRunBytesWritten),
+                metrics->Counter(kRunBytesRaw) * 115 / 100);
       const std::string bytes = TableBytes(output);
       if (reference.empty()) {
         reference = bytes;
@@ -244,9 +253,7 @@ TEST(MergeStressTest, CombinerRunsAcrossRunsInMapSideFinalMerge) {
 TEST(MergeStressTest, CompletesUnderLowFdLimit) {
   // >= 256 spill runs must not translate into >= 256 simultaneously open
   // fds: with the bound, open files per reduce task stay O(merge_factor).
-  // Runs with compress_runs at its default (on), so the fd-pressure path
-  // is exercised over block-format runs; the raw-format variant below
-  // keeps the original coverage. CI runs both under `ulimit -n 64`.
+  // CI also runs this under `ulimit -n 64`.
   struct rlimit saved;
   ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
   struct rlimit lowered = saved;
@@ -321,31 +328,6 @@ TEST(MergeStressTest, CompletesUnderLowFdLimitWithEarlyShuffle) {
   EXPECT_EQ(TableBytes(output), TableBytes(plain_output));
 }
 
-TEST(MergeStressTest, CompletesUnderLowFdLimitRawRuns) {
-  // Same fd-pressure scenario over raw-format runs (compress_runs off).
-  struct rlimit saved;
-  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
-  struct rlimit lowered = saved;
-  lowered.rlim_cur = 64;
-  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
-
-  JobConfig config;
-  config.sort_buffer_bytes = 1024;
-  config.num_map_tasks = 32;
-  config.map_slots = 2;
-  config.reduce_slots = 2;
-  config.num_reducers = 2;
-  config.merge_factor = 4;
-  config.compress_runs = false;
-  RecordTable output;
-  auto metrics = RunStressJob(config, 640, 10, &output);
-
-  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_GE(metrics->Counter(kSpillFiles), 256u);
-  EXPECT_EQ(output.num_records(), 640u * 10u);
-}
-
 // --------------------------------------------------- CRC verification --
 
 /// CountingMapper that, during the last map task's Cleanup, flips the
@@ -390,13 +372,10 @@ class FlipOnCleanupMapper final
 };
 
 /// Runs a spill-heavy word count in `work_dir` with one committed run
-/// file silently damaged mid-job (see FlipOnCleanupMapper). With raw runs
-/// the flipped byte is the final record's varint value 1 -> 0: framing
-/// stays valid, the count silently changes. With compressed runs the
-/// same flip lands in the last block's CRC trailer (or payload), which
-/// per-block verification catches unconditionally.
-Result<JobMetrics> RunWithBitFlip(bool compress, bool checksum,
-                                  const std::string& work_dir,
+/// file silently damaged mid-job (see FlipOnCleanupMapper). The zeroed
+/// byte lands in the last block's CRC trailer, which per-block
+/// verification catches.
+Result<JobMetrics> RunWithBitFlip(const std::string& work_dir,
                                   std::map<std::string, uint64_t>* counts) {
   MemoryTable<uint64_t, std::string> input;
   for (uint64_t i = 0; i < 200; ++i) {
@@ -409,8 +388,6 @@ Result<JobMetrics> RunWithBitFlip(bool compress, bool checksum,
   config.map_slots = 1;
   config.num_reducers = 1;
   config.merge_factor = 0;  // Keep original spill files around for the flip.
-  config.compress_runs = compress;
-  config.checksum_spills = checksum;
   MemoryTable<std::string, uint64_t> output;
   auto metrics = RunJob<FlipOnCleanupMapper, SumReducer>(
       config, input,
@@ -423,93 +400,17 @@ Result<JobMetrics> RunWithBitFlip(bool compress, bool checksum,
   return metrics;
 }
 
-TEST(MergeStressTest, ChecksumCatchesBitFlipOtherwiseSilent) {
-  // Control: raw runs without checksum_spills — the flipped value byte
-  // passes every structural check and the job "succeeds" with a wrong
-  // count, exactly the silent corruption the knob exists to catch.
-  {
-    auto dir = TempDir::Create("crc-off");
-    ASSERT_TRUE(dir.ok());
-    std::map<std::string, uint64_t> counts;
-    auto metrics = RunWithBitFlip(/*compress=*/false, /*checksum=*/false,
-                                  dir->path().string(), &counts);
-    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-    uint64_t total = 0;
-    for (const auto& [k, v] : counts) {
-      total += v;
-    }
-    EXPECT_EQ(total, 199u);  // One unit count was zeroed out.
-  }
-  // With checksums, the reduce-side verification refuses the damaged run
-  // and the job fails with Corruption through the retry machinery.
-  {
-    auto dir = TempDir::Create("crc-on");
-    ASSERT_TRUE(dir.ok());
-    std::map<std::string, uint64_t> counts;
-    auto metrics = RunWithBitFlip(/*compress=*/false, /*checksum=*/true,
-                                  dir->path().string(), &counts);
-    ASSERT_FALSE(metrics.ok());
-    EXPECT_TRUE(metrics.status().IsCorruption())
-        << metrics.status().ToString();
-  }
-}
-
 TEST(MergeStressTest, CompressedRunsCatchBitFlipWithoutChecksumKnob) {
-  // Block-format runs carry per-block CRCs verified as blocks are
-  // decoded: the same flip the raw control above swallows fails with
-  // Corruption even with checksum_spills off — integrity is inherent to
-  // the format, not a separate pass.
+  // Runs carry per-block CRCs verified as blocks are decoded: a byte
+  // zeroed in a committed run fails the job with Corruption instead of
+  // silently changing a count — integrity is inherent to the one run
+  // format, with no knob to turn on and no separate pass.
   auto dir = TempDir::Create("block-crc");
   ASSERT_TRUE(dir.ok());
   std::map<std::string, uint64_t> counts;
-  auto metrics = RunWithBitFlip(/*compress=*/true, /*checksum=*/false,
-                                dir->path().string(), &counts);
+  auto metrics = RunWithBitFlip(dir->path().string(), &counts);
   ASSERT_FALSE(metrics.ok());
   EXPECT_TRUE(metrics.status().IsCorruption()) << metrics.status().ToString();
-}
-
-TEST(MergeStressTest, ByteIdenticalWithAndWithoutCompression) {
-  // compress_runs changes only the at-rest representation: the record
-  // stream a reducer sees — and therefore the job output — must be
-  // byte-identical for every merge factor, including multi-pass merges
-  // whose intermediates are themselves compressed.
-  for (uint32_t merge_factor : {0u, 2u, 16u}) {
-    std::string reference;
-    for (bool compress : {false, true}) {
-      JobConfig config;
-      config.sort_buffer_bytes = 1024;
-      config.num_map_tasks = 8;
-      config.num_reducers = 3;
-      config.merge_factor = merge_factor;
-      config.compress_runs = compress;
-      RecordTable output;
-      auto metrics = RunStressJob(config, 200, 6, &output);
-      ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-      EXPECT_GT(metrics->Counter(kSpillFiles), 0u);
-      if (compress) {
-        // This workload's 4-byte keys share almost no prefix and its 1 KiB
-        // runs pay block framing per handful of records, so at-rest bytes
-        // may exceed raw slightly — bound the overhead; the compression
-        // *win* on realistic sorted keys is asserted in
-        // SortBufferTest.CompressedSpillsShrinkAndCountRunBytes and
-        // EquivalenceTest.CompressedRunsShrinkSuffixSigmaSpills.
-        EXPECT_GT(metrics->Counter(kRunBytesWritten), 0u);
-        EXPECT_LT(metrics->Counter(kRunBytesWritten),
-                  metrics->Counter(kRunBytesRaw) * 115 / 100);
-      } else {
-        EXPECT_EQ(metrics->Counter(kRunBytesWritten),
-                  metrics->Counter(kRunBytesRaw));
-      }
-      const std::string bytes = TableBytes(output);
-      if (reference.empty()) {
-        reference = bytes;
-      } else {
-        EXPECT_EQ(bytes, reference)
-            << "compress=" << compress << " merge_factor=" << merge_factor;
-      }
-    }
-    ASSERT_FALSE(reference.empty());
-  }
 }
 
 TEST(MergeStressTest, PerPhaseMergeCountersSplitTheTotals) {
@@ -557,31 +458,6 @@ TEST(MergeStressTest, PerPhaseMergeCountersSplitTheTotals) {
     EXPECT_NE(log_line.find("spilled"), std::string::npos) << log_line;
     EXPECT_NE(log_line.find("re-spill map"), std::string::npos) << log_line;
   }
-}
-
-TEST(MergeStressTest, ChecksummedMultiPassMergeVerifiesEveryStage) {
-  // Checksums on + bounded fan-in: map runs, map-side merged runs, and
-  // reduce-side intermediate outputs all go through CRC verification.
-  // Raw format explicitly — whole-run CRCs are inert for block-format
-  // runs (which verify per block instead), and this test exists to keep
-  // the raw path (RunCrcVerifier, input/intermediate verifies) covered.
-  JobConfig config;
-  config.sort_buffer_bytes = 1024;
-  config.num_map_tasks = 24;
-  config.num_reducers = 2;
-  config.merge_factor = 3;
-  config.compress_runs = false;
-  config.checksum_spills = true;
-  RecordTable output;
-  auto metrics = RunStressJob(config, 240, 6, &output);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_GT(metrics->Counter(kMergePasses), 0u);
-
-  JobConfig plain = config;
-  plain.checksum_spills = false;
-  RecordTable plain_output;
-  ASSERT_TRUE(RunStressJob(plain, 240, 6, &plain_output).ok());
-  EXPECT_EQ(TableBytes(output), TableBytes(plain_output));
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "mapreduce/runfile.h"
 #include "util/random.h"
 #include "util/temp_dir.h"
 
@@ -40,6 +42,8 @@ TEST(RecordTest, MemoryReaderRejectsCorruption) {
   EXPECT_TRUE(reader.status().IsCorruption());
 }
 
+using KvList = std::vector<std::pair<std::string, std::string>>;
+
 class FileRecordTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -48,61 +52,87 @@ class FileRecordTest : public ::testing::Test {
     dir_ = std::make_unique<TempDir>(std::move(dir).ValueOrDie());
   }
 
-  std::string WriteFile(const std::string& content) {
-    const std::string path = dir_->File("records.bin");
-    std::ofstream out(path, std::ios::binary);
-    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  /// Writes `segments` as one block-format run, closing a segment (and
+  /// its block) after each; returns the file path and fills in each
+  /// segment's byte extent.
+  std::string WriteRun(const std::vector<KvList>& segments,
+                       std::vector<std::pair<uint64_t, uint64_t>>* extents,
+                       size_t block_bytes = kDefaultBlockBytes) {
+    const std::string path = dir_->File("records.run");
+    RunWriterOptions options;
+    options.block_bytes = block_bytes;
+    RunWriter writer(path, options);
+    EXPECT_TRUE(writer.Open().ok());
+    for (const KvList& records : segments) {
+      const uint64_t offset = writer.bytes_written();
+      for (const auto& [k, v] : records) {
+        EXPECT_TRUE(writer.Append(k, v).ok());
+      }
+      EXPECT_TRUE(writer.FinishSegment().ok());
+      extents->emplace_back(offset, writer.bytes_written() - offset);
+    }
+    EXPECT_TRUE(writer.Close().ok());
     return path;
+  }
+
+  /// One-segment convenience form; returns the run's byte length.
+  uint64_t WriteRun(const KvList& records, std::string* path,
+                    size_t block_bytes = kDefaultBlockBytes) {
+    std::vector<std::pair<uint64_t, uint64_t>> extents;
+    *path = WriteRun({records}, &extents, block_bytes);
+    return extents[0].second;
   }
 
   std::unique_ptr<TempDir> dir_;
 };
 
 TEST_F(FileRecordTest, ReadsWholeFile) {
-  std::string buf;
+  KvList records;
   for (int i = 0; i < 100; ++i) {
-    AppendRecord(&buf, "key" + std::to_string(i), "val" + std::to_string(i));
+    records.emplace_back("key" + std::to_string(i), "val" + std::to_string(i));
   }
-  const std::string path = WriteFile(buf);
-  FileRecordReader reader(path, 0, buf.size());
-  for (int i = 0; i < 100; ++i) {
+  std::string path;
+  const uint64_t length = WriteRun(records, &path);
+  FileRecordReader reader(path, 0, length);
+  for (const auto& [k, v] : records) {
     ASSERT_TRUE(reader.Next()) << reader.status().ToString();
-    EXPECT_EQ(reader.key().ToString(), "key" + std::to_string(i));
-    EXPECT_EQ(reader.value().ToString(), "val" + std::to_string(i));
+    EXPECT_EQ(reader.key().ToString(), k);
+    EXPECT_EQ(reader.value().ToString(), v);
   }
   EXPECT_FALSE(reader.Next());
   EXPECT_TRUE(reader.status().ok());
 }
 
 TEST_F(FileRecordTest, ReadsSegmentAtOffset) {
-  std::string first, second;
-  AppendRecord(&first, "aaa", "111");
-  AppendRecord(&second, "bbb", "222");
-  AppendRecord(&second, "ccc", "333");
-  const std::string path = WriteFile(first + second);
+  std::vector<std::pair<uint64_t, uint64_t>> extents;
+  const std::string path = WriteRun(
+      {{{"aaa", "111"}}, {{"bbb", "222"}, {"ccc", "333"}}}, &extents);
+  ASSERT_EQ(extents.size(), 2u);
 
-  FileRecordReader reader(path, first.size(), second.size());
+  FileRecordReader reader(path, extents[1].first, extents[1].second);
   ASSERT_TRUE(reader.Next());
   EXPECT_EQ(reader.key().ToString(), "bbb");
   ASSERT_TRUE(reader.Next());
   EXPECT_EQ(reader.key().ToString(), "ccc");
   EXPECT_FALSE(reader.Next());
+  EXPECT_TRUE(reader.status().ok());
 }
 
 TEST_F(FileRecordTest, TinyBufferForcesRefills) {
-  std::string buf;
+  // A 64-byte read hint and 64-byte blocks: nearly every Next() loads a
+  // block through a stream buffer smaller than the block.
   Rng rng(5);
-  std::vector<std::pair<std::string, std::string>> expected;
+  KvList records;
   for (int i = 0; i < 200; ++i) {
     std::string key(1 + rng.Uniform(40), 'k');
     std::string value(rng.Uniform(60), 'v');
     key += std::to_string(i);
-    AppendRecord(&buf, key, value);
-    expected.emplace_back(key, value);
+    records.emplace_back(key, value);
   }
-  const std::string path = WriteFile(buf);
-  FileRecordReader reader(path, 0, buf.size(), /*buffer_size=*/64);
-  for (const auto& [k, v] : expected) {
+  std::string path;
+  const uint64_t length = WriteRun(records, &path, /*block_bytes=*/64);
+  FileRecordReader reader(path, 0, length, /*buffer_size=*/64);
+  for (const auto& [k, v] : records) {
     ASSERT_TRUE(reader.Next()) << reader.status().ToString();
     EXPECT_EQ(reader.key().ToString(), k);
     EXPECT_EQ(reader.value().ToString(), v);
@@ -114,20 +144,18 @@ TEST_F(FileRecordTest, TinyBufferForcesRefills) {
 TEST_F(FileRecordTest, LookbackContractAcrossRefills) {
   // The grouped reduce pipeline compares adjacent merge records on cached
   // key slices, which requires the previous record's bytes to stay valid
-  // across exactly one Next() call — including calls that refill the read
-  // buffer. Tiny buffers make nearly every Next() a refill; varying record
-  // sizes make some of them swap mid-record.
-  for (size_t buffer_size : {size_t{24}, size_t{32}, size_t{64}}) {
-    std::string buf;
-    std::vector<std::pair<std::string, std::string>> expected;
+  // across exactly one Next() call — including calls that load the next
+  // block. Tiny blocks make nearly every Next() a block load; varying
+  // record sizes vary how many records share a block.
+  for (size_t block_bytes : {size_t{24}, size_t{32}, size_t{64}}) {
+    KvList expected;
     for (int i = 0; i < 200; ++i) {
-      const std::string k = "key" + std::to_string(i);
-      const std::string v(static_cast<size_t>(i % 37), 'v');
-      AppendRecord(&buf, k, v);
-      expected.emplace_back(k, v);
+      expected.emplace_back("key" + std::to_string(i),
+                            std::string(static_cast<size_t>(i % 37), 'v'));
     }
-    const std::string path = WriteFile(buf);
-    FileRecordReader reader(path, 0, buf.size(), buffer_size);
+    std::string path;
+    const uint64_t length = WriteRun(expected, &path, block_bytes);
+    FileRecordReader reader(path, 0, length, /*buffer_size=*/64);
     ASSERT_TRUE(reader.Next()) << reader.status().ToString();
     Slice prev_key = reader.key();
     Slice prev_value = reader.value();
@@ -136,9 +164,9 @@ TEST_F(FileRecordTest, LookbackContractAcrossRefills) {
       // The previous record, read through slices captured before this
       // Next(), must still hold its original bytes.
       EXPECT_EQ(prev_key.ToString(), expected[i - 1].first)
-          << "buffer_size=" << buffer_size << " i=" << i;
+          << "block_bytes=" << block_bytes << " i=" << i;
       EXPECT_EQ(prev_value.ToString(), expected[i - 1].second)
-          << "buffer_size=" << buffer_size << " i=" << i;
+          << "block_bytes=" << block_bytes << " i=" << i;
       prev_key = reader.key();
       prev_value = reader.value();
     }
@@ -151,14 +179,16 @@ TEST_F(FileRecordTest, LookbackContractAcrossRefills) {
 }
 
 TEST_F(FileRecordTest, RecordLargerThanBufferGrows) {
-  std::string buf;
+  // One record far larger than both the read hint and the block target
+  // becomes one oversized block, decoded whole.
   const std::string big(10000, 'x');
-  AppendRecord(&buf, "big", big);
-  const std::string path = WriteFile(buf);
-  FileRecordReader reader(path, 0, buf.size(), /*buffer_size=*/128);
+  std::string path;
+  const uint64_t length = WriteRun({{"big", big}}, &path, /*block_bytes=*/128);
+  FileRecordReader reader(path, 0, length, /*buffer_size=*/128);
   ASSERT_TRUE(reader.Next()) << reader.status().ToString();
   EXPECT_EQ(reader.value().size(), big.size());
   EXPECT_FALSE(reader.Next());
+  EXPECT_TRUE(reader.status().ok());
 }
 
 TEST_F(FileRecordTest, MissingFileReportsError) {
@@ -168,12 +198,12 @@ TEST_F(FileRecordTest, MissingFileReportsError) {
 }
 
 TEST_F(FileRecordTest, TruncatedSegmentReportsCorruption) {
-  std::string buf;
-  AppendRecord(&buf, "abc", "defghi");
-  const std::string path = WriteFile(buf);
-  // The extent claims more bytes than the file holds; the eager prefetch
-  // surfaces the corruption on the first read.
-  FileRecordReader reader(path, 0, buf.size() + 20);
+  std::string path;
+  const uint64_t length = WriteRun({{"abc", "defghi"}}, &path);
+  // The extent claims more bytes than the file holds: the block decodes,
+  // then the next block's header read hits EOF — truncation, not IOError.
+  FileRecordReader reader(path, 0, length + 20);
+  ASSERT_TRUE(reader.Next()) << reader.status().ToString();
   EXPECT_FALSE(reader.Next());
   EXPECT_TRUE(reader.status().IsCorruption());
 }

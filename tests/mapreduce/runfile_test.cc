@@ -20,7 +20,7 @@
 
 #include "encoding/varint.h"
 #include "mapreduce/record.h"
-#include "mapreduce/spill_writer.h"
+#include "util/crc32.h"
 #include "util/temp_dir.h"
 
 namespace ngram::mr {
@@ -42,25 +42,22 @@ class RunFileTest : public ::testing::Test {
 
   /// Writes `records` as one block-format run; returns its byte length.
   uint64_t WriteBlockRun(const std::string& path, const KvList& records,
-                         RunWriterOptions options = {}) {
-    options.compress = true;
-    auto writer = NewRunWriter(path, options);
-    EXPECT_TRUE(writer->Open().ok());
+                         const RunWriterOptions& options = {}) {
+    RunWriter writer(path, options);
+    EXPECT_TRUE(writer.Open().ok());
     for (const auto& [k, v] : records) {
-      EXPECT_TRUE(writer->Append(k, v).ok());
+      EXPECT_TRUE(writer.Append(k, v).ok());
     }
-    EXPECT_TRUE(writer->Close().ok());
-    EXPECT_EQ(writer->records_written(), records.size());
-    return writer->bytes_written();
+    EXPECT_TRUE(writer.Close().ok());
+    EXPECT_EQ(writer.records_written(), records.size());
+    return writer.bytes_written();
   }
 
   /// Reads a block-format extent back into a vector.
   KvList ReadBlockRun(const std::string& path, uint64_t offset,
                       uint64_t length, Status* status = nullptr) {
     KvList out;
-    FileRecordReader reader(path, offset, length,
-                            FileRecordReader::kDefaultBufferBytes,
-                            RunFormat::kBlocks);
+    FileRecordReader reader(path, offset, length);
     while (reader.Next()) {
       out.emplace_back(reader.key().ToString(), reader.value().ToString());
     }
@@ -165,16 +162,14 @@ TEST_F(RunFileTest, FrontCodingShrinksSortedRuns) {
     records.emplace_back(key, "v");
   }
   const std::string path = Path("sorted");
-  RunWriterOptions options;
-  options.compress = true;
-  auto writer = NewRunWriter(path, options);
-  ASSERT_TRUE(writer->Open().ok());
+  RunWriter writer(path, RunWriterOptions{});
+  ASSERT_TRUE(writer.Open().ok());
   for (const auto& [k, v] : records) {
-    ASSERT_TRUE(writer->Append(k, v).ok());
+    ASSERT_TRUE(writer.Append(k, v).ok());
   }
-  ASSERT_TRUE(writer->Close().ok());
-  EXPECT_LT(writer->bytes_written(), writer->raw_bytes());
-  EXPECT_EQ(ReadBlockRun(path, 0, writer->bytes_written()), records);
+  ASSERT_TRUE(writer.Close().ok());
+  EXPECT_LT(writer.bytes_written(), writer.raw_bytes());
+  EXPECT_EQ(ReadBlockRun(path, 0, writer.bytes_written()), records);
 }
 
 TEST_F(RunFileTest, SegmentExtentsAreIndependentlyReadable) {
@@ -182,9 +177,8 @@ TEST_F(RunFileTest, SegmentExtentsAreIndependentlyReadable) {
   // extent starts and ends on block boundaries and reads back alone —
   // the invariant partition-segmented run files rely on.
   const std::string path = Path("segments");
-  RunWriterOptions options;
-  auto writer = NewRunWriter(path, options);
-  ASSERT_TRUE(writer->Open().ok());
+  RunWriter writer(path, RunWriterOptions{});
+  ASSERT_TRUE(writer.Open().ok());
   struct Extent {
     uint64_t offset;
     uint64_t length;
@@ -193,19 +187,19 @@ TEST_F(RunFileTest, SegmentExtentsAreIndependentlyReadable) {
   std::vector<Extent> extents;
   for (int seg = 0; seg < 3; ++seg) {
     Extent extent;
-    extent.offset = writer->bytes_written();
+    extent.offset = writer.bytes_written();
     for (int i = 0; i < 50; ++i) {
       const std::string key =
           "seg" + std::to_string(seg) + "-key" + std::to_string(i);
       const std::string value = "v" + std::to_string(i);
       extent.records.emplace_back(key, value);
-      ASSERT_TRUE(writer->Append(key, value).ok());
+      ASSERT_TRUE(writer.Append(key, value).ok());
     }
-    ASSERT_TRUE(writer->FinishSegment().ok());
-    extent.length = writer->bytes_written() - extent.offset;
+    ASSERT_TRUE(writer.FinishSegment().ok());
+    extent.length = writer.bytes_written() - extent.offset;
     extents.push_back(std::move(extent));
   }
-  ASSERT_TRUE(writer->Close().ok());
+  ASSERT_TRUE(writer.Close().ok());
   for (const Extent& extent : extents) {
     EXPECT_EQ(ReadBlockRun(path, extent.offset, extent.length),
               extent.records);
@@ -284,9 +278,7 @@ TEST_F(RunFileTest, LookbackContractHoldsAcrossBlockBoundaries) {
   options.block_bytes = 32;  // ~1 record per block.
   const uint64_t length = WriteBlockRun(path, records, options);
 
-  FileRecordReader reader(path, 0, length,
-                          FileRecordReader::kDefaultBufferBytes,
-                          RunFormat::kBlocks);
+  FileRecordReader reader(path, 0, length);
   ASSERT_TRUE(reader.Next());
   Slice prev_key = reader.key();
   Slice prev_value = reader.value();
@@ -336,6 +328,79 @@ TEST_F(RunFileTest, BitFlipFailsWithCorruptionNamingTheBlockOffset) {
       << status.ToString();
   EXPECT_NE(status.ToString().find(path), std::string::npos)
       << status.ToString();
+}
+
+TEST_F(RunFileTest, EverySingleBitFlipIsCorruption) {
+  // The integrity guarantee of the one at-rest format: flipping any single
+  // bit of a run file — block length varint, payload, or CRC trailer —
+  // makes reading the segment that holds it fail with Corruption, never
+  // return records (silently wrong or not) and never report IOError. The
+  // other segment still reads back intact. Small blocks and restart
+  // intervals put every kind of byte into the file many times over.
+  std::vector<KvList> segments(2);
+  for (int i = 0; i < 80; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "key-%03d", i);
+    segments[i / 40].emplace_back(key, "value-" + std::to_string(i));
+  }
+  const std::string path = Path("every-bit");
+  RunWriterOptions options;
+  options.block_bytes = 96;
+  options.restart_interval = 4;
+  RunWriter writer(path, options);
+  ASSERT_TRUE(writer.Open().ok());
+  std::vector<std::pair<uint64_t, uint64_t>> extents;  // offset, length
+  for (const KvList& records : segments) {
+    const uint64_t offset = writer.bytes_written();
+    for (const auto& [k, v] : records) {
+      ASSERT_TRUE(writer.Append(k, v).ok());
+    }
+    ASSERT_TRUE(writer.FinishSegment().ok());
+    extents.emplace_back(offset, writer.bytes_written() - offset);
+  }
+  ASSERT_TRUE(writer.Close().ok());
+  const uint64_t file_size = writer.bytes_written();
+  ASSERT_EQ(extents[1].first + extents[1].second, file_size);
+  for (size_t seg = 0; seg < segments.size(); ++seg) {
+    ASSERT_EQ(ReadBlockRun(path, extents[seg].first, extents[seg].second),
+              segments[seg]);
+  }
+
+  // Flip in place — seek, write one byte, restore — instead of rewriting
+  // the file per flip.
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.good());
+  uint64_t flips = 0;
+  for (uint64_t pos = 0; pos < file_size; ++pos) {
+    const size_t hit = pos < extents[1].first ? 0 : 1;
+    file.seekg(static_cast<std::streamoff>(pos));
+    char original = 0;
+    ASSERT_TRUE(file.get(original));
+    for (int bit = 0; bit < 8; ++bit) {
+      file.seekp(static_cast<std::streamoff>(pos));
+      file.put(static_cast<char>(original ^ (1 << bit)));
+      file.flush();
+      for (size_t seg = 0; seg < segments.size(); ++seg) {
+        Status status;
+        const KvList got =
+            ReadBlockRun(path, extents[seg].first, extents[seg].second,
+                         &status);
+        if (seg == hit) {
+          ASSERT_TRUE(status.IsCorruption())
+              << "byte " << pos << " bit " << bit << ": "
+              << status.ToString();
+        } else {
+          ASSERT_TRUE(status.ok()) << status.ToString();
+          ASSERT_EQ(got, segments[seg]);
+        }
+      }
+      ++flips;
+    }
+    file.seekp(static_cast<std::streamoff>(pos));
+    file.put(original);
+    file.flush();
+  }
+  EXPECT_EQ(flips, 8 * file_size);
 }
 
 TEST_F(RunFileTest, TruncatedFinalBlockIsCorruptionNotIOError) {
@@ -409,35 +474,9 @@ TEST_F(RunFileTest, FailingReadIsIOErrorNotCorruption) {
   // EISDIR — a genuine I/O error, which must not be mislabeled as
   // truncation/corruption in block mode either.
   Status status;
-  FileRecordReader reader(dir_->path().string(), 0, 4096,
-                          FileRecordReader::kDefaultBufferBytes,
-                          RunFormat::kBlocks);
+  FileRecordReader reader(dir_->path().string(), 0, 4096);
   EXPECT_FALSE(reader.Next());
   EXPECT_TRUE(reader.status().IsIOError()) << reader.status().ToString();
-}
-
-TEST_F(RunFileTest, RawFactoryWritesSpillWriterCompatibleFiles) {
-  // compress = false must produce the exact raw framing FileRecordReader
-  // reads in its default mode.
-  const std::string path = Path("raw");
-  RunWriterOptions options;
-  options.compress = false;
-  auto writer = NewRunWriter(path, options);
-  ASSERT_TRUE(writer->Open().ok());
-  ASSERT_TRUE(writer->Append("alpha", "1").ok());
-  ASSERT_TRUE(writer->Append("beta", "2").ok());
-  ASSERT_TRUE(writer->FinishSegment().ok());  // No-op for raw.
-  ASSERT_TRUE(writer->Close().ok());
-  EXPECT_FALSE(writer->block_format());
-  EXPECT_EQ(writer->raw_bytes(), writer->bytes_written());
-
-  FileRecordReader reader(path, 0, writer->bytes_written());
-  ASSERT_TRUE(reader.Next());
-  EXPECT_EQ(reader.key().ToString(), "alpha");
-  ASSERT_TRUE(reader.Next());
-  EXPECT_EQ(reader.value().ToString(), "2");
-  EXPECT_FALSE(reader.Next());
-  EXPECT_TRUE(reader.status().ok());
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "encoding/serde.h"
 #include "mapreduce/job.h"
 #include "mapreduce/merge.h"
-#include "mapreduce/spill_writer.h"
 #include "util/random.h"
 #include "util/temp_dir.h"
 
@@ -359,34 +358,10 @@ TEST_F(SortBufferTest, FailedSpillUnlinksPartialFile) {
   EXPECT_EQ(files, buffer.spill_count());
 }
 
-TEST_F(SortBufferTest, ChecksummedSpillsVerify) {
-  Counters counters;
-  TaskCounters tc(&counters);
-  SortBuffer::Options opts = Opts(2, 256);
-  opts.compress_runs = false;  // Whole-run CRC is a raw-format feature.
-  opts.checksum_spills = true;
-  SortBuffer buffer(opts, &tc);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(buffer.Add(static_cast<uint32_t>(i % 2),
-                           "key" + std::to_string(i), "value")
-                    .ok());
-  }
-  std::vector<SpillRun> runs;
-  ASSERT_TRUE(buffer.Finish(&runs).ok());
-  ASSERT_GT(runs.size(), 1u);
-  for (const auto& run : runs) {
-    ASSERT_FALSE(run.in_memory());
-    ASSERT_FALSE(run.block_format);
-    ASSERT_TRUE(run.has_crc);
-    EXPECT_TRUE(VerifySpillFileCrc32(run.file_path, run.crc32).ok());
-  }
-}
-
 TEST_F(SortBufferTest, CompressedSpillsShrinkAndCountRunBytes) {
   // Spilled runs are sorted, so adjacent keys share prefixes; the block
-  // format must write fewer at-rest bytes than the raw framing and expose
-  // the split through RUN_BYTES_RAW / RUN_BYTES_WRITTEN. Default options
-  // compress; has_crc stays false (integrity is per block, not per file).
+  // format must write fewer at-rest bytes than the record framing and expose
+  // the split through RUN_BYTES_RAW / RUN_BYTES_WRITTEN.
   Counters counters;
   TaskCounters tc(&counters);
   SortBuffer::Options opts = Opts(2, 4096);
@@ -403,8 +378,6 @@ TEST_F(SortBufferTest, CompressedSpillsShrinkAndCountRunBytes) {
   uint64_t records = 0;
   for (const auto& run : runs) {
     ASSERT_FALSE(run.in_memory());
-    EXPECT_TRUE(run.block_format);
-    EXPECT_FALSE(run.has_crc);
     for (uint32_t p = 0; p < 2; ++p) {
       records += ReadPartition(run, p).size();
     }

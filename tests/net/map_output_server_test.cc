@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "mapreduce/counters.h"
+#include "mapreduce/runfile.h"
 #include "mapreduce/sort_buffer.h"
 #include "mapreduce/spill_writer.h"
 #include "net/fault_transport.h"
@@ -219,10 +220,10 @@ TEST_F(MapOutputServerTest, TruncatedRunFileIsCorruptionNamingThePath) {
 
 // ---------------------------------------------------------------- Mirror
 
-/// Builds a committed two-partition framed run in `dir` and returns its
-/// SpillRun descriptor.
-mr::SpillRun MakeFramedRun(const std::string& path, int salt) {
-  mr::SpillWriter writer(path);
+/// Builds a committed two-partition block-format run at `path` and
+/// returns its SpillRun descriptor.
+mr::SpillRun MakeBlockRun(const std::string& path, int salt) {
+  mr::RunWriter writer(path, mr::RunWriterOptions{});
   EXPECT_TRUE(writer.Open().ok());
   mr::RunSegment seg0;
   seg0.offset = 0;
@@ -233,6 +234,7 @@ mr::SpillRun MakeFramedRun(const std::string& path, int salt) {
                             "value-" + std::to_string(i * salt))
                     .ok());
   }
+  EXPECT_TRUE(writer.FinishSegment().ok());
   seg0.length = writer.bytes_written();
   seg0.num_records = 40;
   mr::RunSegment seg1;
@@ -242,6 +244,7 @@ mr::SpillRun MakeFramedRun(const std::string& path, int salt) {
         writer.Append("tail-" + std::to_string(i), "v" + std::to_string(i))
             .ok());
   }
+  EXPECT_TRUE(writer.FinishSegment().ok());
   seg1.length = writer.bytes_written() - seg1.offset;
   seg1.num_records = 25;
   EXPECT_TRUE(writer.Close().ok());
@@ -280,8 +283,8 @@ TEST(ShuffleFetcherTest, MirrorProducesByteIdenticalClones) {
   MirrorHarness h;
   const std::string src0 = (h.dir->path() / "src0.run").string();
   const std::string src1 = (h.dir->path() / "src1.run").string();
-  std::vector<mr::SpillRun> runs = {MakeFramedRun(src0, 3),
-                                    MakeFramedRun(src1, 7)};
+  std::vector<mr::SpillRun> runs = {MakeBlockRun(src0, 3),
+                                    MakeBlockRun(src1, 7)};
 
   ShuffleFetcher fetcher(h.FetcherOptions(&h.transport));
   mr::Counters shared;
@@ -317,7 +320,7 @@ TEST(ShuffleFetcherTest, MirrorProducesByteIdenticalClones) {
 TEST(ShuffleFetcherTest, MirrorAbsorbsATransientDropViaRetry) {
   MirrorHarness h;
   const std::string src = (h.dir->path() / "src.run").string();
-  std::vector<mr::SpillRun> runs = {MakeFramedRun(src, 5)};
+  std::vector<mr::SpillRun> runs = {MakeBlockRun(src, 5)};
 
   TransportFaultPlan plan;
   plan.kind = TransportFaultPlan::Kind::kDrop;
@@ -350,7 +353,7 @@ TEST(ShuffleFetcherTest, MirrorFailsCleanlyWithNoServer) {
   ShuffleFetcher fetcher(options);
 
   const std::string src = (dir->path() / "src.run").string();
-  std::vector<mr::SpillRun> runs = {MakeFramedRun(src, 2)};
+  std::vector<mr::SpillRun> runs = {MakeBlockRun(src, 2)};
   mr::Counters shared;
   std::vector<mr::SpillRun> fetched;
   Status st;
@@ -382,7 +385,7 @@ TEST(ShuffleFetcherTest, MirrorWorksOverUnixSockets) {
   ASSERT_TRUE(server.Start().ok());
 
   const std::string src = (dir->path() / "src.run").string();
-  std::vector<mr::SpillRun> runs = {MakeFramedRun(src, 9)};
+  std::vector<mr::SpillRun> runs = {MakeBlockRun(src, 9)};
   ShuffleFetcher::Options options;
   options.transport = &transport;
   options.server_address = address;

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "encoding/varint.h"
 #include "net/fault_transport.h"
 #include "net/inproc_transport.h"
 #include "net/socket_transport.h"
@@ -264,9 +265,6 @@ TEST(WireTest, PublishRequestRoundTrip) {
   req.generation = 3;
   WireRun run;
   run.path = "/tmp/some/dir/map-7-a0-000000.run";
-  run.block_format = true;
-  run.has_crc = false;
-  run.crc32 = 0xdeadbeef;
   run.segments = {{0, 128, 4}, {128, 0, 0}, {128, 77, 2}};
   req.runs = {run, run};
   req.runs[1].path = "/tmp/some/dir/map-7-a0-000001.run";
@@ -280,8 +278,6 @@ TEST(WireTest, PublishRequestRoundTrip) {
   ASSERT_EQ(decoded.runs.size(), 2u);
   EXPECT_EQ(decoded.runs[0].path, req.runs[0].path);
   EXPECT_EQ(decoded.runs[1].path, req.runs[1].path);
-  EXPECT_EQ(decoded.runs[0].block_format, true);
-  EXPECT_EQ(decoded.runs[0].crc32, 0xdeadbeefu);
   ASSERT_EQ(decoded.runs[0].segments.size(), 3u);
   EXPECT_EQ(decoded.runs[0].segments[2].offset, 128u);
   EXPECT_EQ(decoded.runs[0].segments[2].length, 77u);
@@ -290,6 +286,20 @@ TEST(WireTest, PublishRequestRoundTrip) {
   // Truncated payloads decode to false, never to a partial manifest.
   EXPECT_FALSE(DecodePublishRequest(
       Slice(encoded.data(), encoded.size() / 2), &decoded));
+}
+
+TEST(WireTest, ImpossibleRunCountIsRejectedBeforeReserving) {
+  // A count the payload cannot possibly hold is malformed: decoding must
+  // refuse it before it sizes a reserve() — a 5-byte payload must not
+  // make the server hold room for a million runs.
+  std::string payload;
+  PutVarint64(&payload, 0);        // task
+  PutVarint64(&payload, 0);        // generation
+  PutVarint64(&payload, 1u << 20);  // num_runs; no run follows
+  ASSERT_EQ(payload.size(), 5u);
+  PublishRequest decoded;
+  EXPECT_FALSE(DecodePublishRequest(payload, &decoded));
+  EXPECT_LT(decoded.runs.capacity(), 16u);
 }
 
 TEST(WireTest, FetchRequestRoundTrip) {
