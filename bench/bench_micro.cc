@@ -1,12 +1,14 @@
 // Micro-benchmarks of the performance-critical building blocks: varbyte
 // codec, the reverse-lexicographic raw comparator, the suffix stack, the
-// sort buffer, run-file block decoding, posting joins, and the Zipf
-// sampler.
+// sort buffer, run-file block encoding and decoding, CRC-32, posting
+// joins, and the Zipf sampler.
 #include <benchmark/benchmark.h>
 
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rev_lex.h"
@@ -14,9 +16,11 @@
 #include "corpus/zipf.h"
 #include "encoding/serde.h"
 #include "index/posting.h"
+#include "mapreduce/io_env.h"
 #include "mapreduce/record.h"
 #include "mapreduce/runfile.h"
 #include "mapreduce/sort_buffer.h"
+#include "util/crc32.h"
 #include "util/random.h"
 #include "util/temp_dir.h"
 
@@ -178,24 +182,19 @@ BENCHMARK(BM_SortBufferAddAndFinish)
     ->Arg(16 << 10)    // Heavy spilling.
     ->Arg(64 << 20);   // All in memory.
 
-// Decodes the first 16 KiB block of a run file holding an n-gram table —
-// every 1- to 4-gram of a Zipf(1.05) token stream over 5000 terms, keys
-// varbyte-encoded and bytewise sorted, values varint counts: the shape of
-// a serving shard. Each iteration decodes into a fresh string, as a
-// serving cache miss does.
-void BM_DecodeBlock(::benchmark::State& state) {
-  auto dir = TempDir::Create("bench-decode-block");
-  if (!dir.ok()) {
-    state.SkipWithError("tempdir failed");
-    return;
-  }
+using KvTable = std::vector<std::pair<std::string, std::string>>;
+
+// An n-gram table — every 1- to 4-gram of a Zipf(1.05) token stream over
+// 5000 terms, keys varbyte-encoded and bytewise sorted, values varint
+// counts: the shape of a serving shard.
+KvTable NgramTable() {
   ZipfSampler sampler(5000, 1.05);
   Rng rng(8);
   TermSequence stream(20000);
   for (TermId& term : stream) {
     term = static_cast<TermId>(sampler.Sample(&rng));
   }
-  std::map<std::string, uint64_t> table;
+  std::map<std::string, uint64_t> counts;
   std::string key;
   for (size_t i = 0; i < stream.size(); ++i) {
     for (size_t n = 1; n <= 4 && i + n <= stream.size(); ++n) {
@@ -203,21 +202,40 @@ void BM_DecodeBlock(::benchmark::State& state) {
       SequenceCodec::Encode(TermSequence(stream.begin() + i,
                                          stream.begin() + i + n),
                             &key);
-      ++table[key];
+      ++counts[key];
     }
   }
-  const std::string path = dir->File("table.run");
+  KvTable table;
+  table.reserve(counts.size());
+  for (const auto& [k, count] : counts) {
+    std::string value;
+    PutVarint64(&value, count);
+    table.emplace_back(k, std::move(value));
+  }
+  return table;
+}
+
+// Writes `table` as one run file at `path`.
+Status WriteRun(const std::string& path, const KvTable& table) {
   mr::RunWriter writer(path, mr::RunWriterOptions{});
-  Status st = writer.Open();
-  std::string value;
-  for (auto it = table.begin(); st.ok() && it != table.end(); ++it) {
-    value.clear();
-    PutVarint64(&value, it->second);
-    st = writer.Append(Slice(it->first), Slice(value));
+  NGRAM_RETURN_NOT_OK(writer.Open());
+  for (const auto& [k, v] : table) {
+    NGRAM_RETURN_NOT_OK(writer.Append(Slice(k), Slice(v)));
   }
-  if (st.ok()) {
-    st = writer.Close();
+  return writer.Close();
+}
+
+// Decodes the first 16 KiB block of a run file holding NgramTable(), with
+// the restart trailer the serving cache keeps. Each iteration decodes
+// into a fresh string, as a serving cache miss does.
+void BM_DecodeBlock(::benchmark::State& state) {
+  auto dir = TempDir::Create("bench-decode-block");
+  if (!dir.ok()) {
+    state.SkipWithError("tempdir failed");
+    return;
   }
+  const std::string path = dir->File("table.run");
+  Status st = WriteRun(path, NgramTable());
   if (!st.ok()) {
     state.SkipWithError(st.ToString().c_str());
     return;
@@ -226,25 +244,26 @@ void BM_DecodeBlock(::benchmark::State& state) {
   const std::string file((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
 
-  std::string framed;
-  std::vector<uint32_t> restarts;
+  std::string indexed;
   uint64_t block_end = 0;
-  st = mr::DecodeBlockAtIndexed(Slice(file), 0, path, &framed, &restarts,
-                                &block_end);
+  st = mr::DecodeBlockAtIndexed(Slice(file), 0, path, &indexed, &block_end);
+  mr::BlockView view;
+  if (st.ok()) {
+    st = mr::ParseBlockView(indexed, path, &view);
+  }
   if (!st.ok() || block_end >= file.size()) {
     state.SkipWithError("expected a table spanning several blocks");
     return;
   }
   int64_t records = 0;
-  for (mr::MemoryRecordReader reader{Slice(framed)}; reader.Next();) {
+  for (mr::MemoryRecordReader reader{view.frames}; reader.Next();) {
     ++records;
   }
   for (auto _ : state) {
     std::string decoded;
-    st = mr::DecodeBlockAtIndexed(Slice(file), 0, path, &decoded, &restarts,
+    st = mr::DecodeBlockAtIndexed(Slice(file), 0, path, &decoded,
                                   &block_end);
     ::benchmark::DoNotOptimize(decoded.data());
-    ::benchmark::DoNotOptimize(restarts.data());
     ::benchmark::ClobberMemory();
   }
   if (!st.ok()) {
@@ -254,6 +273,55 @@ void BM_DecodeBlock(::benchmark::State& state) {
   state.counters["block_bytes"] = static_cast<double>(block_end);
 }
 BENCHMARK(BM_DecodeBlock);
+
+// Writes NgramTable() through a RunWriter (front coding, restart array
+// and CRC per 16 KiB block) into a run file, once per iteration. The file
+// is unlinked untimed after each write: committing by rename over an
+// existing file makes some filesystems (ext4's auto_da_alloc) flush it.
+void BM_EncodeBlock(::benchmark::State& state) {
+  auto dir = TempDir::Create("bench-encode-block");
+  if (!dir.ok()) {
+    state.SkipWithError("tempdir failed");
+    return;
+  }
+  const auto table = NgramTable();
+  const std::string path = dir->File("table.run");
+  Status st;
+  for (auto _ : state) {
+    st = WriteRun(path, table);
+    state.PauseTiming();
+    if (st.ok()) {
+      st = mr::IoEnv::Default()->Unlink(path);
+    }
+    state.ResumeTiming();
+    if (!st.ok()) {
+      break;
+    }
+  }
+  if (!st.ok()) {
+    state.SkipWithError(st.ToString().c_str());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(table.size()));
+}
+BENCHMARK(BM_EncodeBlock);
+
+// CRC-32 of a 16 KiB buffer of random bytes — about one run-file block.
+void BM_Crc32(::benchmark::State& state) {
+  Rng rng(9);
+  std::string buf(16 * 1024, '\0');
+  for (char& c : buf) {
+    c = static_cast<char>(rng.Uniform(256));
+  }
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32(crc, buf.data(), buf.size());
+    ::benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
 
 void BM_PostingJoin(::benchmark::State& state) {
   Rng rng(6);

@@ -29,7 +29,7 @@ class ReverseLexSequenceComparator final : public mr::RawComparator {
     // (the shorter encoding ends on a varint boundary), which the
     // reverse-lexicographic order resolves on length alone.
     const size_t min_len = a.size() < b.size() ? a.size() : b.size();
-    const size_t i = CommonPrefixLength(a.udata(), b.udata(), min_len);
+    const size_t i = CommonPrefixLength(a.data(), b.data(), min_len);
     if (i == min_len) {
       if (a.size() == b.size()) {
         return 0;
@@ -72,30 +72,6 @@ class ReverseLexSequenceComparator final : public mr::RawComparator {
   }
 
  private:
-  /// Length of the common prefix of `a` and `b`, scanning 8 bytes at a
-  /// time (unaligned loads via memcpy, first difference via the XOR).
-  static size_t CommonPrefixLength(const uint8_t* a, const uint8_t* b,
-                                   size_t n) {
-    size_t i = 0;
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    // On little-endian the lowest differing byte of the XOR is the first
-    // differing byte of the streams.
-    while (i + 8 <= n) {
-      uint64_t wa, wb;
-      memcpy(&wa, a + i, 8);
-      memcpy(&wb, b + i, 8);
-      if (wa != wb) {
-        return i + static_cast<size_t>(__builtin_ctzll(wa ^ wb)) / 8;
-      }
-      i += 8;
-    }
-#endif
-    while (i < n && a[i] == b[i]) {
-      ++i;
-    }
-    return i;
-  }
-
   /// The original lockstep term walk, applied from the first divergence.
   static int CompareDecoded(Slice a, Slice b) {
     SequenceReader ra(a);

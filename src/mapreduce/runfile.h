@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "encoding/varint.h"
 #include "mapreduce/record.h"
 #include "mapreduce/spill_writer.h"
 #include "util/macros.h"
@@ -122,10 +123,13 @@ class RunWriter final : public RecordSink {
 
  private:
   Status EmitBlock();
+  /// Room for `n` more payload bytes; returns the write cursor.
+  char* Reserve(size_t n);
 
   const RunWriterOptions options_;
   SpillWriter file_;
-  std::string block_;               // Payload under construction.
+  std::string block_;               // High-water payload buffer...
+  size_t block_len_ = 0;            // ...and the payload bytes in use.
   std::vector<uint32_t> restarts_;  // Entry offsets with shared == 0.
   uint32_t counter_ = 0;            // Entries since the last restart.
   uint64_t entries_in_block_ = 0;
@@ -139,8 +143,9 @@ class RunWriter final : public RecordSink {
 /// `[klen][vlen][key][value]` frames that replace the contents of
 /// `*framed` (left empty on failure). The buffer is sized once from the
 /// payload and grows only when a block expands past that estimate, so a
-/// reused `*framed` keeps its capacity across calls. `block_offset` and
-/// `path` only shape the Corruption messages.
+/// reused `*framed` keeps its capacity across calls. No byte outside
+/// `payload` is read. `block_offset` and `path` only shape the Corruption
+/// messages.
 /// Shared by FileRecordReader's streaming block loader and the serving
 /// layer's mmap-backed random-access block reads, so both paths decode —
 /// and reject corruption in — the format identically.
@@ -149,23 +154,43 @@ Status DecodeBlockPayload(Slice payload, uint64_t block_offset,
 
 /// Parses, CRC-verifies, and decodes the whole block starting at byte
 /// `offset` of the in-memory file image `file` (an mmap-backed serving
-/// segment). On success `*framed` holds the block's records as raw frames
-/// (iterate with MemoryRecordReader) and `*next_offset` is the file
-/// offset one past the block's trailer. A flipped bit anywhere in the
-/// block yields Corruption naming `path` and the block offset.
-Status DecodeBlockAt(Slice file, uint64_t offset, const std::string& path,
-                     std::string* framed, uint64_t* next_offset);
-
-/// As DecodeBlockAt, and additionally translates the block's restart array
-/// into `*restart_offsets`: entry i is the byte offset within `*framed` of
-/// the i-th restart entry's frame (a full-key entry — every
-/// `restart_interval`-th record). Always non-empty on success (the first
-/// entry of a block is a restart). Point lookups binary-search these
-/// anchors and decode-scan at most one restart interval instead of walking
-/// the whole block (serve/sharded_store.cc).
+/// segment) into the layout the serving cache keeps:
+///
+///   frames of the block's records, back to back
+///   [fixed32 frame offset] per restart entry, in order
+///   [fixed32 num_restarts]
+///
+/// Restart i's frame offset is where, within the frames, the i-th restart
+/// entry's frame starts (a full-key entry — every `restart_interval`-th
+/// record); there is always at least one. Point lookups binary-search
+/// these anchors and decode-scan at most one restart interval instead of
+/// walking the whole block (serve/sharded_store.cc). Read the result back
+/// with ParseBlockView. On success `*next_offset` is the file offset one
+/// past the block's trailer; a flipped bit anywhere in the block yields
+/// Corruption naming `path` and the block offset, and `*framed` is left
+/// empty.
 Status DecodeBlockAtIndexed(Slice file, uint64_t offset,
                             const std::string& path, std::string* framed,
-                            std::vector<uint32_t>* restart_offsets,
                             uint64_t* next_offset);
+
+/// View over DecodeBlockAtIndexed's output: the frames, and the restart
+/// anchors that index them.
+struct BlockView {
+  Slice frames;
+  const char* restarts = nullptr;  // num_restarts fixed32 frame offsets.
+  uint32_t num_restarts = 0;
+
+  /// Frame offset of restart anchor `i` (< num_restarts).
+  uint32_t restart(uint32_t i) const {
+    return DecodeFixed32(restarts + 4 * static_cast<size_t>(i));
+  }
+};
+
+/// Splits `indexed` (DecodeBlockAtIndexed output) into its frames and
+/// restart trailer. Corruption naming `path` when the trailer is
+/// malformed — a process bug (e.g. a foreign value under a cache key),
+/// since the decoder always writes a well-formed one.
+Status ParseBlockView(const std::string& indexed, const std::string& path,
+                      BlockView* view);
 
 }  // namespace ngram::mr

@@ -18,35 +18,6 @@ Status DecodeCount(Slice value, const std::string& path, uint64_t* count) {
   return Status::OK();
 }
 
-/// View over a cached block string: the decoded raw frames, plus the
-/// restart index GetBlock appended — [fixed32 frame offset per restart
-/// anchor][fixed32 num_restarts] — so every cache hit carries the block's
-/// seek structure without a second allocation or a cache value-type
-/// change.
-struct BlockView {
-  Slice frames;
-  const char* restarts = nullptr;  // num_restarts fixed32 frame offsets.
-  uint32_t num_restarts = 0;
-};
-
-Status ParseBlockView(const std::string& cached, const std::string& path,
-                      BlockView* view) {
-  if (cached.size() >= 4) {
-    const uint32_t n = DecodeFixed32(cached.data() + cached.size() - 4);
-    const uint64_t trailer_bytes = 4ull * (static_cast<uint64_t>(n) + 1);
-    if (n != 0 && trailer_bytes <= cached.size()) {
-      view->frames = Slice(cached.data(),
-                           cached.size() - static_cast<size_t>(trailer_bytes));
-      view->restarts = cached.data() + view->frames.size();
-      view->num_restarts = n;
-      return Status::OK();
-    }
-  }
-  // GetBlock always appends a well-formed trailer, so this is a process
-  // bug (e.g. a foreign value under our cache file id), not disk state.
-  return Status::Corruption("malformed cached block index for " + path);
-}
-
 /// Key of the frame starting at byte `offset` of `frames`. The frames are
 /// decoder output (already bounds-checked), so the parse cannot fail.
 Slice KeyAt(Slice frames, uint32_t offset) {
@@ -62,19 +33,18 @@ Slice KeyAt(Slice frames, uint32_t offset) {
 /// (anchor 0 when every anchor key exceeds it, which only happens for
 /// keys before the block). A scan from here crosses at most one restart
 /// interval before the sorted order proves the key absent.
-uint32_t SeekAnchor(const BlockView& view, Slice key) {
+uint32_t SeekAnchor(const mr::BlockView& view, Slice key) {
   uint32_t lo = 0;
   uint32_t hi = view.num_restarts;  // First anchor with key > `key`.
   while (lo < hi) {
     const uint32_t mid = lo + (hi - lo) / 2;
-    const uint32_t off = DecodeFixed32(view.restarts + 4ull * mid);
-    if (KeyAt(view.frames, off).compare(key) <= 0) {
+    if (KeyAt(view.frames, view.restart(mid)).compare(key) <= 0) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return lo == 0 ? 0 : DecodeFixed32(view.restarts + 4ull * (lo - 1));
+  return lo == 0 ? 0 : view.restart(lo - 1);
 }
 
 }  // namespace
@@ -159,22 +129,14 @@ Status ShardedStatsStore::GetBlock(
   const BlockEntry& block = shard.entry->blocks[block_index];
   const Slice file = shard.mapping->data();
   auto decoded = std::make_shared<std::string>();
-  std::vector<uint32_t> restart_offsets;
   uint64_t next_offset = 0;
-  NGRAM_RETURN_NOT_OK(
-      mr::DecodeBlockAtIndexed(file, block.offset, shard.path, decoded.get(),
-                               &restart_offsets, &next_offset));
+  NGRAM_RETURN_NOT_OK(mr::DecodeBlockAtIndexed(file, block.offset, shard.path,
+                                               decoded.get(), &next_offset));
   if (next_offset != block.offset + block.length) {
     return Status::Corruption(
         "block at offset " + std::to_string(block.offset) + " of " +
         shard.path + " does not match its manifest extent");
   }
-  // Append the restart index as a trailer (see BlockView) so the seek
-  // structure is cached alongside the frames it indexes.
-  for (const uint32_t off : restart_offsets) {
-    PutFixed32(decoded.get(), off);
-  }
-  PutFixed32(decoded.get(), static_cast<uint32_t>(restart_offsets.size()));
   *framed = decoded;
   cache_->Insert(cache_key, std::move(decoded));
   return Status::OK();
@@ -197,8 +159,8 @@ Status ShardedStatsStore::Count(Slice key, uint64_t* count) const {
   }
   std::shared_ptr<const std::string> framed;
   NGRAM_RETURN_NOT_OK(GetBlock(shard, static_cast<size_t>(b), &framed));
-  BlockView view;
-  NGRAM_RETURN_NOT_OK(ParseBlockView(*framed, shard.path, &view));
+  mr::BlockView view;
+  NGRAM_RETURN_NOT_OK(mr::ParseBlockView(*framed, shard.path, &view));
   // Binary-search the restart anchors, then decode-scan at most one
   // restart interval instead of walking the block from its first record.
   const uint32_t start = SeekAnchor(view, key);
@@ -242,8 +204,8 @@ Status ShardedStatsStore::ScanRange(
       }
       std::shared_ptr<const std::string> framed;
       NGRAM_RETURN_NOT_OK(GetBlock(shard, b, &framed));
-      BlockView view;
-      NGRAM_RETURN_NOT_OK(ParseBlockView(*framed, shard.path, &view));
+      mr::BlockView view;
+      NGRAM_RETURN_NOT_OK(mr::ParseBlockView(*framed, shard.path, &view));
       Slice scan = view.frames;
       if (b == static_cast<size_t>(first_block)) {
         // Anchor-seek `lower` in the first block of each shard we enter;

@@ -101,7 +101,8 @@ class ShardedStatsStore {
 
   /// Fetches (through the cache) or decodes block `block_index` of shard
   /// `shard` as raw frames with the block's restart index appended as a
-  /// fixed32 trailer (parsed back with ParseBlockView in the .cc).
+  /// fixed32 trailer (mr::DecodeBlockAtIndexed's layout, parsed back with
+  /// mr::ParseBlockView).
   Status GetBlock(const Shard& shard, size_t block_index,
                   std::shared_ptr<const std::string>* framed) const;
 

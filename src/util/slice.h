@@ -76,4 +76,28 @@ inline bool operator<(const Slice& a, const Slice& b) {
   return a.compare(b) < 0;
 }
 
+/// Length of the common prefix of `a[0, n)` and `b[0, n)`, scanning 8
+/// bytes at a time (unaligned loads via memcpy, first difference via the
+/// XOR).
+inline size_t CommonPrefixLength(const char* a, const char* b, size_t n) {
+  size_t i = 0;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  // On little-endian the lowest differing byte of the XOR is the first
+  // differing byte of the streams.
+  while (i + 8 <= n) {
+    uint64_t wa, wb;
+    memcpy(&wa, a + i, 8);
+    memcpy(&wb, b + i, 8);
+    if (wa != wb) {
+      return i + static_cast<size_t>(__builtin_ctzll(wa ^ wb)) / 8;
+    }
+    i += 8;
+  }
+#endif
+  while (i < n && a[i] == b[i]) {
+    ++i;
+  }
+  return i;
+}
+
 }  // namespace ngram

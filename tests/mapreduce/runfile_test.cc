@@ -1,5 +1,6 @@
 // Block-structured run format (runfile.h): round-trips over adversarial
-// key/value mixes, front-coding compression wins on sorted runs, segment
+// key/value mixes, byte identity with a plain reference codec across the
+// fast paths' edges, front-coding compression wins on sorted runs, segment
 // boundaries, the one-record lookback contract across blocks, and the
 // corruption-handling contract — a flipped bit fails with Corruption
 // naming the block offset, truncation is Corruption, a failing read is
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -27,6 +29,128 @@ namespace ngram::mr {
 namespace {
 
 using KvList = std::vector<std::pair<std::string, std::string>>;
+
+// Reference codec: the format's plain algorithms — byte-at-a-time shared
+// prefixes and string appends to encode, varint headers and one copy per
+// field to decode. The writer's cursor and the decoder's fast paths must
+// reproduce their bytes exactly.
+
+/// Block payloads for `records` written as one segment: entries closed
+/// into a block once its entries reach `block_bytes`, each block ending
+/// in its restart array.
+std::vector<std::string> ReferenceEncode(const KvList& records,
+                                         size_t block_bytes,
+                                         uint32_t restart_interval) {
+  std::vector<std::string> blocks;
+  std::string block;
+  std::vector<uint32_t> restarts;
+  std::string last_key;
+  uint32_t counter = restart_interval;  // First entry restarts.
+  const auto finish = [&] {
+    if (restarts.empty()) {
+      return;  // No entries: every block's first entry is a restart.
+    }
+    for (const uint32_t restart : restarts) {
+      PutFixed32(&block, restart);
+    }
+    PutFixed32(&block, static_cast<uint32_t>(restarts.size()));
+    blocks.push_back(block);
+    block.clear();
+    restarts.clear();
+    last_key.clear();
+    counter = restart_interval;
+  };
+  for (const auto& [key, value] : records) {
+    size_t shared = 0;
+    if (counter < restart_interval) {
+      while (shared < key.size() && shared < last_key.size() &&
+             key[shared] == last_key[shared]) {
+        ++shared;
+      }
+    } else {
+      restarts.push_back(static_cast<uint32_t>(block.size()));
+      counter = 0;
+    }
+    const size_t non_shared = key.size() - shared;
+    const size_t shared_nib = std::min<size_t>(shared, 15);
+    const size_t non_shared_nib = std::min<size_t>(non_shared, 15);
+    block.push_back(static_cast<char>(shared_nib << 4 | non_shared_nib));
+    if (shared_nib == 15) {
+      PutVarint64(&block, shared);
+    }
+    if (non_shared_nib == 15) {
+      PutVarint64(&block, non_shared);
+    }
+    PutVarint64(&block, value.size());
+    block.append(key, shared, non_shared);
+    block += value;
+    last_key = key;
+    ++counter;
+    if (block.size() >= block_bytes) {
+      finish();
+    }
+  }
+  finish();
+  return blocks;
+}
+
+/// Frames of a well-formed block payload and, when `indexed`, the restart
+/// trailer DecodeBlockAtIndexed appends: [fixed32 frame offset of each
+/// restart entry][fixed32 count].
+std::string ReferenceDecode(const std::string& payload, bool indexed) {
+  const uint32_t num_restarts =
+      DecodeFixed32(payload.data() + payload.size() - 4);
+  const size_t entries_end = payload.size() - 4 * (num_restarts + 1ull);
+  std::string frames;
+  std::string last_key;
+  std::vector<uint32_t> anchors;
+  Slice in(payload.data(), entries_end);
+  while (!in.empty()) {
+    const auto entry = static_cast<uint32_t>(in.data() - payload.data());
+    if (anchors.size() < num_restarts &&
+        DecodeFixed32(payload.data() + entries_end + 4 * anchors.size()) ==
+            entry) {
+      anchors.push_back(static_cast<uint32_t>(frames.size()));
+    }
+    const uint8_t tag = static_cast<uint8_t>(in[0]);
+    in.RemovePrefix(1);
+    uint64_t shared = tag >> 4;
+    uint64_t non_shared = tag & 0x0f;
+    uint64_t vlen = 0;
+    if (shared == 15) {
+      EXPECT_TRUE(GetVarint64(&in, &shared));
+    }
+    if (non_shared == 15) {
+      EXPECT_TRUE(GetVarint64(&in, &non_shared));
+    }
+    EXPECT_TRUE(GetVarint64(&in, &vlen));
+    std::string key = last_key.substr(0, static_cast<size_t>(shared));
+    key.append(in.data(), static_cast<size_t>(non_shared));
+    in.RemovePrefix(static_cast<size_t>(non_shared));
+    PutVarint64(&frames, key.size());
+    PutVarint64(&frames, vlen);
+    frames += key;
+    frames.append(in.data(), static_cast<size_t>(vlen));
+    in.RemovePrefix(static_cast<size_t>(vlen));
+    last_key = std::move(key);
+  }
+  if (indexed) {
+    EXPECT_EQ(anchors.size(), num_restarts);
+    for (const uint32_t anchor : anchors) {
+      PutFixed32(&frames, anchor);
+    }
+    PutFixed32(&frames, num_restarts);
+  }
+  return frames;
+}
+
+/// An exact-size heap copy of `bytes`: a decoder reading past its end is
+/// an ASan report, which a std::string's spare capacity could hide.
+std::unique_ptr<char[]> ExactCopy(Slice bytes) {
+  std::unique_ptr<char[]> copy(new char[bytes.size()]);
+  memcpy(copy.get(), bytes.data(), bytes.size());
+  return copy;
+}
 
 class RunFileTest : public ::testing::Test {
  protected:
@@ -70,12 +194,12 @@ class RunFileTest : public ::testing::Test {
   }
 
   /// Decodes a whole block-format file block by block with
-  /// DecodeBlockAtIndexed, expecting `records` in order, and checks that
-  /// restart j of every block points at the frame of the block's
-  /// (j * restart_interval)-th record — a frame holding that restart
-  /// entry's key. Returns how many blocks decoded to more than twice
-  /// their stored size — past the decoder's initial buffer estimate, so
-  /// each of them ran its growth path.
+  /// DecodeBlockAtIndexed, expecting `records` in order, and checks
+  /// through ParseBlockView that restart j of every block points at the
+  /// frame of the block's (j * restart_interval)-th record — a frame
+  /// holding that restart entry's key. Returns how many blocks decoded to
+  /// more than twice their stored size — past the decoder's initial
+  /// buffer estimate, so each of them ran its growth path.
   size_t ExpectIndexedDecode(const std::string& path, const KvList& records,
                              uint32_t restart_interval) {
     std::string file;
@@ -87,23 +211,26 @@ class RunFileTest : public ::testing::Test {
     size_t next_record = 0;
     uint64_t offset = 0;
     while (offset < file.size()) {
-      std::string framed;  // Fresh per block: growth must reallocate.
-      std::vector<uint32_t> restarts;
+      std::string indexed;  // Fresh per block: growth must reallocate.
       uint64_t next_offset = 0;
-      const Status st = DecodeBlockAtIndexed(Slice(file), offset, path,
-                                             &framed, &restarts, &next_offset);
+      Status st = DecodeBlockAtIndexed(Slice(file), offset, path, &indexed,
+                                       &next_offset);
+      BlockView view;
+      if (st.ok()) {
+        st = ParseBlockView(indexed, path, &view);
+      }
       EXPECT_TRUE(st.ok()) << st.ToString();
       if (!st.ok()) {
         return expanded_blocks;
       }
-      if (framed.size() > 2 * (next_offset - offset)) {
+      if (view.frames.size() > 2 * (next_offset - offset)) {
         ++expanded_blocks;
       }
       std::vector<uint32_t> frame_offsets;
-      Slice in(framed);
+      Slice in(view.frames);
       while (!in.empty()) {
         frame_offsets.push_back(
-            static_cast<uint32_t>(in.data() - framed.data()));
+            static_cast<uint32_t>(in.data() - view.frames.data()));
         uint64_t klen = 0;
         uint64_t vlen = 0;
         EXPECT_TRUE(GetVarint64(&in, &klen) && GetVarint64(&in, &vlen) &&
@@ -119,10 +246,10 @@ class RunFileTest : public ::testing::Test {
         in.RemovePrefix(static_cast<size_t>(klen + vlen));
         ++next_record;
       }
-      EXPECT_EQ(restarts.size(),
+      EXPECT_EQ(view.num_restarts,
                 (frame_offsets.size() + restart_interval - 1) /
                     restart_interval);
-      for (size_t j = 0; j < restarts.size(); ++j) {
+      for (uint32_t j = 0; j < view.num_restarts; ++j) {
         const size_t entry = j * restart_interval;
         EXPECT_LT(entry, frame_offsets.size());
         if (entry >= frame_offsets.size()) {
@@ -130,13 +257,79 @@ class RunFileTest : public ::testing::Test {
         }
         // The loop above checked that this frame holds the block's
         // entry-th record, so the restart lands on its key.
-        EXPECT_EQ(restarts[j], frame_offsets[entry])
+        EXPECT_EQ(view.restart(j), frame_offsets[entry])
             << "restart " << j << " of block at offset " << offset;
       }
       offset = next_offset;
     }
     EXPECT_EQ(next_record, records.size());
     return expanded_blocks;
+  }
+
+  /// Writes `records` as one run and checks it block by block against the
+  /// reference codec: each payload equals ReferenceEncode's, and
+  /// DecodeBlockPayload (into a reused buffer, as FileRecordReader does)
+  /// and DecodeBlockAtIndexed (into a fresh one, as a serving miss does)
+  /// return ReferenceDecode's bytes, each reading an exact-size heap copy
+  /// of its input. Returns how many blocks decoded to more than twice
+  /// their payload, so ran the decoder's growth path.
+  size_t ExpectMatchesReferenceCodec(const std::string& name,
+                                     const KvList& records,
+                                     const RunWriterOptions& options) {
+    const std::string path = Path(name);
+    WriteBlockRun(path, records, options);
+    std::string file;
+    {
+      std::ifstream in(path, std::ios::binary);
+      file.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::vector<std::string> want = ReferenceEncode(
+        records, options.block_bytes, options.restart_interval);
+    size_t grown = 0;
+    size_t block = 0;
+    std::string framed;  // Reused across blocks.
+    Slice rest(file);
+    while (!rest.empty()) {
+      SCOPED_TRACE(name + " block " + std::to_string(block));
+      const char* const block_start = rest.data();
+      uint64_t payload_len = 0;
+      if (!GetVarint64(&rest, &payload_len) || payload_len + 4 > rest.size()) {
+        ADD_FAILURE() << "malformed block framing";
+        return grown;
+      }
+      const Slice payload(rest.data(), static_cast<size_t>(payload_len));
+      rest.RemovePrefix(static_cast<size_t>(payload_len) + 4);
+      EXPECT_EQ(DecodeFixed32(payload.data() + payload.size()),
+                Crc32(0, payload.data(), payload.size()));
+      if (block >= want.size()) {
+        ADD_FAILURE() << "more blocks than the reference encoder wrote";
+        return grown;
+      }
+      EXPECT_EQ(payload, Slice(want[block]));
+
+      const auto payload_copy = ExactCopy(payload);
+      Status st = DecodeBlockPayload(Slice(payload_copy.get(), payload.size()),
+                                     0, path, &framed);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      const std::string frames = ReferenceDecode(want[block], false);
+      EXPECT_EQ(framed, frames);
+      if (frames.size() > 2 * payload.size()) {
+        ++grown;
+      }
+
+      const size_t block_len = static_cast<size_t>(rest.data() - block_start);
+      const auto block_copy = ExactCopy(Slice(block_start, block_len));
+      std::string indexed;
+      uint64_t next_offset = 0;
+      st = DecodeBlockAtIndexed(Slice(block_copy.get(), block_len), 0, path,
+                                &indexed, &next_offset);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(next_offset, block_len);
+      EXPECT_EQ(indexed, ReferenceDecode(want[block], true));
+      ++block;
+    }
+    EXPECT_EQ(block, want.size());
+    return grown;
   }
 
   std::unique_ptr<TempDir> dir_;
@@ -262,6 +455,88 @@ TEST_F(RunFileTest, FuzzRoundTripAcrossLengthMixesAndBlockSizes) {
       }
     }
   }
+}
+
+TEST_F(RunFileTest, MatchesReferenceCodecAcrossFastPathEdges) {
+  // The writer's payloads and the decoder's frames equal the reference
+  // codec's byte for byte on entries straddling every fast-path edge:
+  // the tag nibbles' 15 escape, the one-byte vlen, the two-byte frame
+  // header (klen and vlen 127 vs 128), the 16-byte moves (fields of 16
+  // vs 17 bytes, and the last entries of a one-restart block, which end
+  // fewer than 16 bytes before the payload end), and buffer growth.
+  std::mt19937 rng(20240917);
+  std::uniform_int_distribution<int> lower('a', 'z');
+  std::uniform_int_distribution<int> upper('A', 'Z');
+  const auto random_string = [&](size_t len) {
+    std::string out(len, '\0');
+    for (char& c : out) c = static_cast<char>(lower(rng));
+    return out;
+  };
+
+  // shared, non_shared and vlen each in {0, 14, 15, 16, 17, 200}: every
+  // target entry follows a 220-byte base key and shares exactly `shared`
+  // bytes with it (its suffix starts with an upper-case byte, the base is
+  // lower-case). No restarts inside a block, so nothing resets `shared`.
+  const size_t lengths[] = {0, 14, 15, 16, 17, 200};
+  KvList fields;
+  for (const size_t shared : lengths) {
+    for (const size_t non_shared : lengths) {
+      for (const size_t vlen : lengths) {
+        const std::string base = random_string(220);
+        std::string key = base.substr(0, shared);
+        for (size_t i = 0; i < non_shared; ++i) {
+          key.push_back(static_cast<char>(upper(rng)));
+        }
+        fields.emplace_back(base, random_string(3));
+        fields.emplace_back(std::move(key), random_string(vlen));
+      }
+    }
+  }
+  // klen and vlen around the one-byte varint limit, with and without a
+  // shared prefix.
+  KvList header_edges;
+  for (const size_t klen : {126, 127, 128, 129}) {
+    for (const size_t vlen : {126, 127, 128, 129}) {
+      header_edges.emplace_back(random_string(klen), random_string(vlen));
+      std::string key = header_edges.back().first.substr(0, 20);
+      key += random_string(klen - 20);
+      header_edges.emplace_back(std::move(key), random_string(vlen));
+    }
+  }
+  // One-restart blocks of short entries: the restart array leaves only 8
+  // bytes after the last entry.
+  const KvList short_tail = {{"a", "1"}, {"ab", "2"}, {"abc", "3"}};
+  // Keys sharing 1 KiB prefixes decode to many times their payload.
+  KvList long_prefixes;
+  for (int i = 0; i < 40; ++i) {
+    long_prefixes.emplace_back(std::string(1024, 'p') + std::to_string(i),
+                               std::to_string(i));
+  }
+
+  RunWriterOptions no_restarts;
+  no_restarts.restart_interval = 1u << 30;
+  RunWriterOptions small_blocks;
+  small_blocks.block_bytes = 512;
+  small_blocks.restart_interval = 3;
+  RunWriterOptions every_entry;
+  every_entry.restart_interval = 1;
+  RunWriterOptions tiny_blocks;
+  tiny_blocks.block_bytes = 8;
+  RunWriterOptions few_restarts;
+  few_restarts.restart_interval = 3;
+
+  ExpectMatchesReferenceCodec("fields", fields, no_restarts);
+  ExpectMatchesReferenceCodec("fields-small", fields, small_blocks);
+  ExpectMatchesReferenceCodec("header-edges", header_edges, {});
+  ExpectMatchesReferenceCodec("header-edges-restarts", header_edges,
+                              every_entry);
+  ExpectMatchesReferenceCodec("short-tail", short_tail, {});
+  ExpectMatchesReferenceCodec("short-tail-tiny", short_tail, tiny_blocks);
+  EXPECT_GT(ExpectMatchesReferenceCodec("long-prefixes", long_prefixes, {}),
+            0u);
+  EXPECT_GT(ExpectMatchesReferenceCodec("long-prefixes-restarts",
+                                        long_prefixes, few_restarts),
+            0u);
 }
 
 TEST_F(RunFileTest, LookbackContractHoldsAcrossBlockBoundaries) {

@@ -10,7 +10,6 @@
 
 #include "mapreduce/record.h"
 #include "mapreduce/runfile.h"
-#include "util/crc32.h"
 #include "util/temp_dir.h"
 
 namespace ngram::mr {
@@ -156,11 +155,6 @@ TEST_F(SpillWriterTest, NeverOpenedWriterLeavesExistingFileAlone) {
   SpillWriter unclosed(path);
   EXPECT_FALSE(unclosed.Close().ok());
   EXPECT_TRUE(FileExists(path));
-}
-
-TEST(Crc32Test, MatchesKnownVector) {
-  // CRC-32 of "123456789" under the zlib polynomial.
-  EXPECT_EQ(Crc32(0, "123456789", 9), 0xcbf43926u);
 }
 
 }  // namespace
