@@ -14,9 +14,11 @@
 #include "core/rev_lex.h"
 #include "core/suffix_stack.h"
 #include "corpus/zipf.h"
+#include "encoding/sequence.h"
 #include "encoding/serde.h"
 #include "index/posting.h"
 #include "mapreduce/io_env.h"
+#include "mapreduce/partitioner.h"
 #include "mapreduce/record.h"
 #include "mapreduce/runfile.h"
 #include "mapreduce/sort_buffer.h"
@@ -139,29 +141,60 @@ void BM_SuffixStackPush(::benchmark::State& state) {
 }
 BENCHMARK(BM_SuffixStackPush);
 
+// A NAIVE-like map task's output: every 1- to 5-gram window of a Zipf(1.0)
+// token stream over 5000 terms, keys varbyte-encoded, so frequent n-grams
+// recur as byte-equal duplicates.
+std::vector<std::string> NaiveWindowKeys(size_t num_tokens) {
+  ZipfSampler sampler(5000, 1.0);
+  Rng rng(11);
+  TermSequence stream(num_tokens);
+  for (TermId& term : stream) {
+    term = static_cast<TermId>(sampler.Sample(&rng));
+  }
+  std::vector<std::string> keys;
+  for (size_t b = 0; b < stream.size(); ++b) {
+    for (size_t e = b + 1; e <= stream.size() && e - b <= 5; ++e) {
+      std::string key;
+      SequenceCodec::EncodeRange(stream, b, e, &key);
+      keys.push_back(std::move(key));
+    }
+  }
+  return keys;
+}
+
+// Arg 0 is the sort buffer budget; arg 1 picks the keys: 0 = 4096 nearly
+// distinct 6-term sequences, 1 = NaiveWindowKeys(4096) (~20K records).
 void BM_SortBufferAddAndFinish(::benchmark::State& state) {
   auto dir = TempDir::Create("bench-sortbuf");
   if (!dir.ok()) {
     state.SkipWithError("tempdir failed");
     return;
   }
-  const auto seqs = MakeSequences(4096, 6, 1000, 5);
   std::vector<std::string> keys;
-  for (const auto& seq : seqs) {
-    keys.push_back(SerializeToString(seq));
+  if (state.range(1) == 0) {
+    for (const auto& seq : MakeSequences(4096, 6, 1000, 5)) {
+      keys.push_back(SerializeToString(seq));
+    }
+  } else {
+    keys = NaiveWindowKeys(4096);
+  }
+  constexpr uint32_t kPartitions = 8;
+  std::vector<uint32_t> partitions;
+  for (const std::string& key : keys) {
+    partitions.push_back(static_cast<uint32_t>(
+        mr::HashPartitioner::Hash(Slice(key)) % kPartitions));
   }
   const std::string value = SerializeToString<uint64_t>(1);
   mr::Counters counters;
   for (auto _ : state) {
     mr::TaskCounters tc(&counters);
     mr::SortBuffer::Options options;
-    options.num_partitions = 8;
+    options.num_partitions = kPartitions;
     options.budget_bytes = static_cast<size_t>(state.range(0));
     options.work_dir = dir->path().string();
     mr::SortBuffer buffer(options, &tc);
     for (size_t i = 0; i < keys.size(); ++i) {
-      Status st = buffer.Add(static_cast<uint32_t>(i % 8),
-                             Slice(keys[i]), Slice(value));
+      Status st = buffer.Add(partitions[i], Slice(keys[i]), Slice(value));
       if (!st.ok()) {
         state.SkipWithError(st.ToString().c_str());
         return;
@@ -179,8 +212,10 @@ void BM_SortBufferAddAndFinish(::benchmark::State& state) {
                           static_cast<int64_t>(keys.size()));
 }
 BENCHMARK(BM_SortBufferAddAndFinish)
-    ->Arg(16 << 10)    // Heavy spilling.
-    ->Arg(64 << 20);   // All in memory.
+    ->ArgNames({"budget", "naive"})
+    ->Args({16 << 10, 0})    // Heavy spilling.
+    ->Args({64 << 20, 0})    // All in memory.
+    ->Args({64 << 20, 1});
 
 using KvTable = std::vector<std::pair<std::string, std::string>>;
 

@@ -57,8 +57,9 @@ class RecordTableReader final : public RecordReader {
       cur_ = ChunkRange(chunk_);
     }
     uint64_t klen = 0, vlen = 0;
+    // Checked term by term: a summed klen + vlen can wrap past the bound.
     if (!GetVarint64(&cur_, &klen) || !GetVarint64(&cur_, &vlen) ||
-        klen + vlen > cur_.size()) {
+        klen > cur_.size() || vlen > cur_.size() - klen) {
       status_ = Status::Corruption("malformed RecordTable record");
       cur_ = Slice();
       return false;

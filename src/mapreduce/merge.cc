@@ -11,9 +11,9 @@ namespace ngram::mr {
 namespace {
 
 /// Reader over a zero-copy in-memory run partition: records surface
-/// straight out of the sorted bucket arena through its refs — no frame
-/// parsing, no copy. The arena is stable for the run's lifetime, so the
-/// lookback contract holds trivially.
+/// straight out of the sorted bucket arena through its refs, each decoded
+/// in place from its frame — no copy. The arena is stable for the run's
+/// lifetime, so the lookback contract holds trivially.
 class BucketRunReader final : public RecordReader {
  public:
   explicit BucketRunReader(const SpillRun::MemoryBucket* bucket)
@@ -23,10 +23,8 @@ class BucketRunReader final : public RecordReader {
     if (i_ >= bucket_->refs.size()) {
       return false;
     }
-    const SortedRecordRef& r = bucket_->refs[i_++];
-    const char* base = bucket_->arena.data() + r.key_offset;
-    key_ = Slice(base, r.key_len);
-    value_ = Slice(base + r.key_len, r.value_len);
+    const SortedRecordRef r = bucket_->refs[i_++];
+    ArenaRecordAt(bucket_->arena.data(), r.offset, &key_, &value_);
     has_sort_prefix_ = true;
     sort_prefix_ = r.sort_prefix;
     return true;

@@ -136,8 +136,8 @@ bool FileRecordReader::Next() {
   }
   uint64_t klen = 0, vlen = 0;
   if (!GetVarint64(&decoded_cur_, &klen) ||
-      !GetVarint64(&decoded_cur_, &vlen) ||
-      klen + vlen > decoded_cur_.size()) {
+      !GetVarint64(&decoded_cur_, &vlen) || klen > decoded_cur_.size() ||
+      vlen > decoded_cur_.size() - klen) {
     // Unreachable unless the decoder itself is broken: decoded frames are
     // produced, not read, by this class.
     status_ = Status::Internal("malformed decoded block frame");

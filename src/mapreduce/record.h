@@ -75,8 +75,9 @@ class MemoryRecordReader final : public RecordReader {
       return false;
     }
     uint64_t klen = 0, vlen = 0;
+    // Checked term by term: a summed klen + vlen can wrap past the bound.
     if (!GetVarint64(&data_, &klen) || !GetVarint64(&data_, &vlen) ||
-        klen + vlen > data_.size()) {
+        klen > data_.size() || vlen > data_.size() - klen) {
       status_ = Status::Corruption("malformed in-memory record");
       return false;
     }

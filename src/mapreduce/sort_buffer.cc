@@ -28,28 +28,26 @@ class StringRunSink final : public RecordSink {
 };
 
 /// A bucket's full sort order: cached prefix, then the comparator on the
-/// arena bytes, then insertion sequence. `seq` is unique within a bucket,
-/// so this is a strict total order — every correct sort of a bucket
-/// yields the same permutation.
+/// arena bytes, then arena offset (insertion order). Offsets are unique
+/// within a bucket, so this is a strict total order — every correct sort
+/// of a bucket yields the same permutation.
 class RefLess {
  public:
   RefLess(const char* arena, const RawComparator* cmp)
       : arena_(arena), cmp_(cmp) {}
 
-  bool operator()(const SortedRecordRef& a, const SortedRecordRef& b) const {
+  bool operator()(SortedRecordRef a, SortedRecordRef b) const {
     if (a.sort_prefix != b.sort_prefix) {
       return a.sort_prefix < b.sort_prefix;
     }
-    const int c = CompareKeys(a, b);
+    Slice key_a, key_b, value;
+    ArenaRecordAt(arena_, a.offset, &key_a, &value);
+    ArenaRecordAt(arena_, b.offset, &key_b, &value);
+    const int c = cmp_->Compare(key_a, key_b);
     if (c != 0) {
       return c < 0;
     }
-    return a.seq < b.seq;
-  }
-
-  int CompareKeys(const SortedRecordRef& a, const SortedRecordRef& b) const {
-    return cmp_->Compare(Slice(arena_ + a.key_offset, a.key_len),
-                         Slice(arena_ + b.key_offset, b.key_len));
+    return a.offset < b.offset;
   }
 
  private:
@@ -57,23 +55,24 @@ class RefLess {
   const RawComparator* cmp_;
 };
 
-/// In-place MSD radix sort (American-flag sort) under RefLess, one byte of
-/// the cached prefix per pass. Each range is partitioned on the highest
-/// byte in which two of its prefixes differ, so bytes the whole range
-/// shares cost no pass and recursion is at most 8 deep. Small ranges and
-/// ranges whose prefixes are all equal are finished under RefLess itself.
-/// Scratch is a few KiB of stack per level, never a bucket-sized buffer.
+/// Stable out-of-place MSD radix sort under RefLess, one byte of the cached
+/// prefix per pass. Each range is partitioned on the highest byte in which
+/// two of its prefixes differ, so bytes the whole range shares cost no pass
+/// and recursion is at most 8 deep. Every pass is stable and a bucket
+/// starts in offset order, so each range is still in offset order when it
+/// is finished: a range of byte-equal duplicates is already sorted.
 class PrefixRadixSort {
  public:
-  PrefixRadixSort(const char* arena, const RawComparator* cmp)
-      : less_(arena, cmp) {}
+  /// `scratch` has room for the largest range sorted; every pass reuses it
+  /// from the start, because a pass is copied back before it recurses.
+  PrefixRadixSort(const char* arena, const RawComparator* cmp,
+                  SortedRecordRef* scratch)
+      : less_(arena, cmp), scratch_(scratch) {}
 
-  /// `permuted` is false while [first, last) is still in insertion (seq)
-  /// order, i.e. no pass has moved any of its records.
-  void Sort(SortedRecordRef* first, SortedRecordRef* last,
-            bool permuted) const {
+  void Sort(SortedRecordRef* first, SortedRecordRef* last) const {
     const size_t n = static_cast<size_t>(last - first);
-    if (n < 2) {
+    if (n < SortBuffer::kRadixSortMinRecords) {
+      InsertionSort(first, last);
       return;
     }
     const uint64_t pivot = first->sort_prefix;
@@ -82,81 +81,59 @@ class PrefixRadixSort {
       diff |= r->sort_prefix ^ pivot;
     }
     if (diff == 0) {
-      FinishEqualPrefix(first, last, permuted);
-      return;
-    }
-    if (n < SortBuffer::kRadixSortMinRecords) {
-      std::sort(first, last, less_);
+      // Duplicates pass the check; only distinct keys sharing the prefix
+      // (SUFFIX-sigma's two-term reverse-lex prefix) need the comparator.
+      if (!std::is_sorted(first, last, less_)) {
+        std::sort(first, last, less_);
+      }
       return;
     }
     // The highest byte in which two prefixes differ (diff != 0 here).
     const int shift = 56 - (__builtin_clzll(diff) & ~7);
-    auto digit = [shift](const SortedRecordRef& r) {
+    auto digit = [shift](SortedRecordRef r) {
       return static_cast<unsigned>(r.sort_prefix >> shift) & 0xffu;
     };
-    uint32_t end[256] = {};  // Counts, then each digit's end offset.
+    uint32_t count[256] = {};
     for (const SortedRecordRef* r = first; r != last; ++r) {
-      ++end[digit(*r)];
+      ++count[digit(*r)];
     }
-    uint32_t next[256];  // Each digit's next unfilled slot.
+    uint32_t next[256];  // Each digit's next free scratch slot.
     uint32_t sum = 0;
     for (unsigned d = 0; d < 256; ++d) {
       next[d] = sum;
-      sum += end[d];
-      end[d] = sum;
+      sum += count[d];
     }
-    // Cycle every misplaced record into its digit's next slot.
-    bool moved = false;
+    for (const SortedRecordRef* r = first; r != last; ++r) {
+      scratch_[next[digit(*r)]++] = *r;
+    }
+    std::copy(scratch_, scratch_ + n, first);
     for (unsigned d = 0; d < 256; ++d) {
-      while (next[d] != end[d]) {
-        SortedRecordRef r = first[next[d]];
-        unsigned rd = digit(r);
-        if (rd != d) {
-          moved = true;
-          do {
-            std::swap(r, first[next[rd]++]);
-            rd = digit(r);
-          } while (rd != d);
-          first[next[d]] = r;
-        }
-        ++next[d];
+      if (count[d] > 1) {
+        Sort(first, first + count[d]);
       }
-    }
-    uint32_t begin = 0;
-    for (unsigned d = 0; d < 256; ++d) {
-      Sort(first + begin, first + end[d], permuted || moved);
-      begin = end[d];
+      first += count[d];
     }
   }
 
  private:
-  /// Finishes a range whose prefixes are all equal. Two kinds occur:
-  /// byte-equal duplicates (a frequent key), which need only their seq
-  /// order back — one pass of adjacent compares proves the keys equal,
-  /// then an integer sort restores it without n·log n key compares — and
-  /// distinct keys sharing a prefix, which take the comparator sort.
-  void FinishEqualPrefix(SortedRecordRef* first, SortedRecordRef* last,
-                         bool permuted) const {
-    if (!permuted) {
-      // Already in seq order: one pass proves whether it is sorted.
-      if (std::is_sorted(first, last, less_)) {
-        return;
-      }
-    } else if (std::adjacent_find(first, last,
-                                  [this](const SortedRecordRef& a,
-                                         const SortedRecordRef& b) {
-                                    return less_.CompareKeys(a, b) != 0;
-                                  }) == last) {
-      std::sort(first, last,
-                [](const SortedRecordRef& a, const SortedRecordRef& b) {
-                  return a.seq < b.seq;
-                });
+  /// n-1 compares on a range already in order, such as a run of
+  /// duplicates.
+  void InsertionSort(SortedRecordRef* first, SortedRecordRef* last) const {
+    if (last - first < 2) {
       return;
     }
-    std::sort(first, last, less_);
+    for (SortedRecordRef* i = first + 1; i != last; ++i) {
+      const SortedRecordRef r = *i;
+      SortedRecordRef* j = i;
+      for (; j != first && less_(r, j[-1]); --j) {
+        *j = j[-1];
+      }
+      *j = r;
+    }
   }
 
   const RefLess less_;
+  SortedRecordRef* const scratch_;
 };
 
 }  // namespace
@@ -172,45 +149,47 @@ class SortBuffer::GroupIterator final : public RawValueIterator {
       : arena_(bucket.arena.data()),
         refs_(bucket.refs),
         cmp_(cmp),
-        current_(begin),
-        next_(begin) {}
+        next_(begin),
+        prefix_(refs_[begin].sort_prefix) {
+    ArenaRecordAt(arena_, refs_[begin].offset, &key_, &value_);
+  }
 
   bool NextValue() override {
     if (next_ >= refs_.size()) {
       return false;
     }
     if (consumed_ > 0) {
-      const RecordRef& prev = refs_[next_ - 1];  // Last consumed.
-      const RecordRef& cur = refs_[next_];
-      if (cur.sort_prefix != prev.sort_prefix ||
-          cmp_->Compare(KeyOf(cur), KeyOf(prev)) != 0) {
+      const RecordRef cur = refs_[next_];
+      if (cur.sort_prefix != prefix_) {
         return false;  // Boundary: `next_` starts the following group.
       }
+      Slice key, value;
+      ArenaRecordAt(arena_, cur.offset, &key, &value);
+      if (cmp_->Compare(key, key_) != 0) {
+        return false;
+      }
+      key_ = key;
+      value_ = value;
     }
-    current_ = next_++;
+    ++next_;
     ++consumed_;
     return true;
   }
 
-  Slice key() const override { return KeyOf(refs_[current_]); }
-  Slice value() const override {
-    const RecordRef& r = refs_[current_];
-    return Slice(arena_ + r.key_offset + r.key_len, r.value_len);
-  }
+  Slice key() const override { return key_; }
+  Slice value() const override { return value_; }
 
   /// First ref index past this group (valid once fully consumed).
   size_t end_index() const { return next_; }
 
  private:
-  Slice KeyOf(const RecordRef& r) const {
-    return Slice(arena_ + r.key_offset, r.key_len);
-  }
-
   const char* arena_;
   const std::vector<RecordRef>& refs_;
   const RawComparator* cmp_;
-  size_t current_;  // Last consumed ref (== begin before the first call).
-  size_t next_;     // Next ref to consume.
+  size_t next_;            // Next ref to consume.
+  const uint64_t prefix_;  // Cached prefix every record of the group shares.
+  Slice key_;              // Last consumed record (the leading one before
+  Slice value_;            // the first call).
 };
 
 void RemoveRunFiles(const std::vector<SpillRun>& runs, IoEnv* env) {
@@ -237,33 +216,33 @@ Status SortBuffer::Add(uint32_t partition, Slice key, Slice value) {
   if (partition >= options_.num_partitions) {
     return Status::InvalidArgument("partition out of range");
   }
-  const size_t record_bytes = key.size() + value.size();
+  const size_t framed_bytes = FramedSize(key.size(), value.size());
   const size_t arena_cap =
       std::min<size_t>(options_.arena_limit_bytes,
                        std::numeric_limits<uint32_t>::max());
-  if (record_bytes > arena_cap - buckets_[partition].arena.size()) {
+  if (framed_bytes > arena_cap - buckets_[partition].arena.size()) {
     // RecordRef offsets are 32-bit; never let an arena outgrow them.
     // Spilling frees the arena; only a record that can never fit is an
     // error.
-    if (record_bytes > arena_cap) {
+    if (framed_bytes > arena_cap) {
       return Status::InvalidArgument(
-          "record of " + std::to_string(record_bytes) +
+          "record framed in " + std::to_string(framed_bytes) +
           " bytes cannot fit the sort buffer arena offset space (" +
           std::to_string(arena_cap) + " bytes)");
     }
     NGRAM_RETURN_NOT_OK(SpillSorted(/*final_flush=*/false));
   }
   Bucket& bucket = buckets_[partition];
-  RecordRef ref;
-  ref.sort_prefix = options_.comparator->SortPrefix(key);
-  ref.key_offset = static_cast<uint32_t>(bucket.arena.size());
-  ref.key_len = static_cast<uint32_t>(key.size());
-  ref.value_len = static_cast<uint32_t>(value.size());
-  ref.seq = static_cast<uint32_t>(bucket.refs.size());
-  bucket.arena.append(key.data(), key.size());
-  bucket.arena.append(value.data(), value.size());
-  bucket.refs.push_back(ref);
-  bytes_used_ += record_bytes + kRecordOverhead;
+  const size_t offset = bucket.arena.size();
+  bucket.arena.resize(offset + framed_bytes);
+  char* cursor = bucket.arena.data() + offset;
+  cursor = EncodeVarint64To(cursor, key.size());
+  cursor = EncodeVarint64To(cursor, value.size());
+  cursor = std::copy_n(key.data(), key.size(), cursor);
+  std::copy_n(value.data(), value.size(), cursor);
+  bucket.refs.push_back(RecordRef{options_.comparator->SortPrefix(key),
+                                  static_cast<uint32_t>(offset)});
+  bytes_used_ += framed_bytes + sizeof(RecordRef);
 
   if (bytes_used_ >= options_.budget_bytes) {
     NGRAM_RETURN_NOT_OK(SpillSorted(/*final_flush=*/false));
@@ -272,10 +251,18 @@ Status SortBuffer::Add(uint32_t partition, Slice key, Slice value) {
 }
 
 void SortBuffer::SortBuckets() {
+  size_t largest = 0;
+  for (const Bucket& bucket : buckets_) {
+    largest = std::max(largest, bucket.refs.size());
+  }
+  if (sort_scratch_.size() < largest) {
+    sort_scratch_.resize(largest);
+  }
   for (Bucket& bucket : buckets_) {
     RecordRef* first = bucket.refs.data();
-    PrefixRadixSort(bucket.arena.data(), options_.comparator)
-        .Sort(first, first + bucket.refs.size(), /*permuted=*/false);
+    PrefixRadixSort(bucket.arena.data(), options_.comparator,
+                    sort_scratch_.data())
+        .Sort(first, first + bucket.refs.size());
   }
 }
 
@@ -283,10 +270,10 @@ Status SortBuffer::EmitBucket(const Bucket& bucket, RecordSink* sink) {
   const char* arena = bucket.arena.data();
   const std::vector<RecordRef>& refs = bucket.refs;
   if (!options_.combiner) {
-    for (const RecordRef& r : refs) {
-      NGRAM_RETURN_NOT_OK(sink->Append(
-          Slice(arena + r.key_offset, r.key_len),
-          Slice(arena + r.key_offset + r.key_len, r.value_len)));
+    Slice key, value;
+    for (const RecordRef r : refs) {
+      ArenaRecordAt(arena, r.offset, &key, &value);
+      NGRAM_RETURN_NOT_OK(sink->Append(key, value));
     }
     return Status::OK();
   }
@@ -297,8 +284,7 @@ Status SortBuffer::EmitBucket(const Bucket& bucket, RecordSink* sink) {
   size_t i = 0;
   while (st.ok() && i < refs.size()) {
     GroupIterator group(bucket, i, options_.comparator);
-    const Slice group_key(arena + refs[i].key_offset, refs[i].key_len);
-    st = options_.combiner(group_key, &group, sink);
+    st = options_.combiner(group.key(), &group, sink);
     if (st.ok()) {
       group.Count();  // Skip whatever the combiner left unconsumed.
       combine_input_records += group.consumed();
@@ -345,8 +331,9 @@ Status SortBuffer::WriteRunToFile(SpillRun* run) {
   run->file_path = options_.work_dir + name;
 
   RunWriterOptions writer_options;
-  // Framed output never exceeds bytes_used_ (record headers are smaller
-  // than the per-record ref overhead), so small spills get a small buffer.
+  // bytes_used_ already counts every record's framing plus a 12-byte ref;
+  // the run's front-coded blocks are about the framed size, so small
+  // spills get a small buffer (a larger run just flushes it early).
   // The buffer itself is task-owned and reused across this task's spills,
   // growing (never past spill_buffer_bytes) if a later spill wants more.
   const size_t want_bytes =

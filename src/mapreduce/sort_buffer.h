@@ -4,10 +4,11 @@
 // as Hadoop's MapOutputBuffer.
 //
 // Layout: records land directly in their destination partition's bucket
-// (arena + ref vector), so sorting is per-bucket and comparisons never
-// branch on the partition, and a run's partition-major order falls out of
-// bucket iteration instead of a sort key. Spills stream through a
-// fixed-size SpillWriter buffer; a run is never materialized in memory.
+// (an arena of framed records + a vector of 12-byte refs), so sorting is
+// per-bucket and comparisons never branch on the partition, and a run's
+// partition-major order falls out of bucket iteration instead of a sort
+// key. Spills stream through a fixed-size SpillWriter buffer; a run is
+// never materialized in memory.
 #pragma once
 
 #include <cstdint>
@@ -16,11 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "encoding/varint.h"
 #include "mapreduce/comparator.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/record.h"
 #include "mapreduce/spill_writer.h"
 #include "util/macros.h"
+#include "util/slice.h"
 #include "util/status.h"
 
 namespace ngram::mr {
@@ -32,20 +35,46 @@ struct RunSegment {
   uint64_t num_records = 0;
 };
 
-/// Reference to one record inside its bucket's arena. Value bytes
-/// immediately follow the key bytes, so one offset locates both. The
-/// cached sort-key prefix drives the radix passes and resolves most
-/// comparisons without touching the arena. `seq` (the insertion index,
-/// free inside the struct's padding) breaks ties: (prefix, Compare, seq)
-/// is a strict total order, so the unstable in-place sort yields exactly
-/// the permutation a stable sort would.
-struct SortedRecordRef {
+/// Reference to one record inside its bucket's arena: 12 bytes. The record
+/// is framed at `offset` as [varint klen][varint vlen][key][value]
+/// (AppendRecord's layout), so one offset locates key and value. Offsets
+/// strictly increase in insertion order within a bucket, so `offset` also
+/// breaks ties: (prefix, Compare, offset) is a strict total order and every
+/// correct sort yields the permutation a stable sort would. The cached
+/// sort-key prefix drives the radix passes and resolves most comparisons
+/// without touching the arena. The struct is packed: copy refs by value and
+/// never bind a reference to a member.
+struct __attribute__((packed)) SortedRecordRef {
   uint64_t sort_prefix;  // RawComparator::SortPrefix of the key.
-  uint32_t key_offset;   // Into the bucket's arena.
-  uint32_t key_len;
-  uint32_t value_len;
-  uint32_t seq;          // Insertion order within the bucket.
+  uint32_t offset;       // Of the framed record, into the bucket's arena.
 };
+static_assert(sizeof(SortedRecordRef) == 12, "refs are 12 bytes");
+
+/// Decodes the record framed at `offset` of a bucket arena. The arena holds
+/// only frames SortBuffer wrote itself, so the lengths are not
+/// bounds-checked; a one-byte length (under 128) takes the fast path.
+inline void ArenaRecordAt(const char* arena, uint32_t offset, Slice* key,
+                          Slice* value) {
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(arena) + offset;
+  auto length = [&p]() {
+    uint64_t v = *p++;
+    if (v >= 0x80) {
+      v &= 0x7f;
+      for (int shift = 7;; shift += 7) {
+        const uint64_t byte = *p++;
+        v |= (byte & 0x7f) << shift;
+        if (byte < 0x80) {
+          break;
+        }
+      }
+    }
+    return static_cast<size_t>(v);
+  };
+  const size_t klen = length();
+  const size_t vlen = length();
+  *key = Slice(p, klen);
+  *value = Slice(p + klen, vlen);
+}
 
 /// One sorted run: per-partition contiguous record groups — in a
 /// block-format run file (runfile.h; segment extents cover whole blocks),
@@ -68,13 +97,12 @@ struct SpillRun {
   bool zero_copy() const { return !buckets.empty(); }
 };
 
-/// Unlinks the spill files (if any) behind `runs`; in-memory runs are
+/// Unlinks the spill files (if any) behind `runs` through `env` (nullptr
+/// means IoEnv::Default()), ignoring missing ones; in-memory runs are
 /// untouched and the vector itself is left alone. Shuffle runs are
 /// job-private, so the driver removes them for discarded task attempts
 /// and when the job finishes — a user-provided work_dir is never left
 /// with orphaned run files.
-/// Unlinks the files behind `runs` through `env` (nullptr means
-/// IoEnv::Default()), ignoring missing ones.
 void RemoveRunFiles(const std::vector<SpillRun>& runs, IoEnv* env = nullptr);
 
 /// Raw (serialized) view of a combiner: receives one key group — the
@@ -123,25 +151,34 @@ class SortBuffer {
   NGRAM_DISALLOW_COPY_AND_ASSIGN(SortBuffer);
 
   /// Appends one record destined for `partition`. Records larger than the
-  /// budget are admitted and spill immediately; a record that cannot fit
-  /// the 32-bit arena offset space at all is rejected with
+  /// budget are admitted and spill immediately; a record whose framing
+  /// cannot fit the 32-bit arena offset space at all is rejected with
   /// InvalidArgument instead of silently wrapping offsets.
   Status Add(uint32_t partition, Slice key, Slice value);
+
+  /// Bytes one record charges against `budget_bytes`: its framing in the
+  /// bucket arena plus its SortedRecordRef.
+  static size_t RecordCharge(size_t key_size, size_t value_size) {
+    return FramedSize(key_size, value_size) + sizeof(SortedRecordRef);
+  }
 
   /// Sorts/flushes the tail and moves all runs to `*runs`.
   Status Finish(std::vector<SpillRun>* runs);
 
   uint64_t spill_count() const { return spill_count_; }
 
-  /// Ranges of fewer records skip the radix passes and take the
-  /// comparator sort directly.
+  /// Ranges of fewer records skip the radix passes and take an insertion
+  /// sort under the full order.
   static constexpr size_t kRadixSortMinRecords = 64;
 
  private:
   using RecordRef = SortedRecordRef;
 
-  /// Bytes a record occupies in the buffer beyond its key/value payload.
-  static constexpr size_t kRecordOverhead = sizeof(RecordRef);
+  /// Arena bytes of one framed record: [klen][vlen][key][value].
+  static size_t FramedSize(size_t key_size, size_t value_size) {
+    return VarintLength(key_size) + VarintLength(value_size) + key_size +
+           value_size;
+  }
 
   /// Per-partition record storage; sorted independently of other buckets.
   /// (Same shape as SpillRun::MemoryBucket — an uncombined final flush
@@ -166,6 +203,10 @@ class SortBuffer {
   TaskCounters* counters_;
   std::vector<Bucket> buckets_;
   size_t bytes_used_ = 0;  // Arenas + refs, across all buckets.
+  /// Out-of-place radix scratch: SortBuckets sizes it to the largest
+  /// bucket and every sort of this task reuses it. Like the spill write
+  /// buffer, it is not charged to `budget_bytes`.
+  std::vector<RecordRef> sort_scratch_;
   std::vector<SpillRun> runs_;
   uint64_t spill_count_ = 0;
   uint64_t spill_file_seq_ = 0;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "encoding/varint.h"
 #include "mapreduce/job.h"
 #include "util/temp_dir.h"
 
@@ -47,6 +48,24 @@ TEST(RecordTableTest, AppendAndReadBackRoundTrip) {
   EXPECT_EQ(rows[1].second, "empty-key");
   EXPECT_EQ(rows[2].first, "empty-value");
   EXPECT_EQ(rows[3].second, std::string(100, 'x'));
+}
+
+TEST(RecordTableTest, ReaderRejectsWrappingFrameLengths) {
+  // The crafted frame {klen 2^64-1, vlen 2, "x"} rides as a key; a view
+  // starting past that record's own two length bytes makes the reader
+  // parse it. 2^64-1 + 2 wraps to the one byte left.
+  std::string frame;
+  PutVarint64(&frame, ~uint64_t{0});
+  PutVarint64(&frame, 2);
+  frame.push_back('x');
+  RecordTable table;
+  table.Append(frame, "");
+  RecordTable::View view = table.WholeView();
+  view.begin_offset = 2;  // One length byte each for the key and value.
+  view.bytes -= 2;
+  auto reader = table.NewReader(view);
+  EXPECT_FALSE(reader->Next());
+  EXPECT_TRUE(reader->status().IsCorruption()) << reader->status().ToString();
 }
 
 TEST(RecordTableTest, TypedEncodeDecodeRoundTrip) {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "encoding/varint.h"
 #include "mapreduce/runfile.h"
 #include "util/random.h"
 #include "util/temp_dir.h"
@@ -37,6 +38,19 @@ TEST(RecordTest, MemoryReaderRejectsCorruption) {
   std::string buf;
   AppendRecord(&buf, "abc", "def");
   buf.resize(buf.size() - 2);  // Truncate the value.
+  MemoryRecordReader reader((Slice(buf)));
+  EXPECT_FALSE(reader.Next());
+  EXPECT_TRUE(reader.status().IsCorruption());
+}
+
+TEST(RecordTest, MemoryReaderRejectsWrappingFrameLengths) {
+  // klen = 2^64-1 and vlen = 2 sum to 1 modulo 2^64, which the one byte
+  // left would satisfy: the lengths must be checked one at a time.
+  std::string buf;
+  PutVarint64(&buf, ~uint64_t{0});
+  PutVarint64(&buf, 2);
+  buf.push_back('x');
+  ASSERT_EQ(buf.size(), 12u);
   MemoryRecordReader reader((Slice(buf)));
   EXPECT_FALSE(reader.Next());
   EXPECT_TRUE(reader.status().IsCorruption());

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <map>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "core/rev_lex.h"
 #include "corpus/zipf.h"
@@ -48,6 +50,42 @@ class SortBufferTest : public ::testing::Test {
     }
     EXPECT_TRUE(reader->status().ok());
     return out;
+  }
+
+  /// Adds a record with a `key_size`-byte key whose charge is exactly
+  /// `budget`, then a small one. The first reaches the budget and spills
+  /// at once; the final flush spills too, since a run is already on disk.
+  /// `framing_bytes` pins the width of the record's two length varints.
+  void ExpectRecordAtBudgetSpills(size_t budget, size_t key_size,
+                                  int framing_bytes) {
+    size_t value_size = 0;
+    while (SortBuffer::RecordCharge(key_size, value_size) < budget) {
+      ++value_size;
+    }
+    ASSERT_EQ(SortBuffer::RecordCharge(key_size, value_size), budget);
+    ASSERT_EQ(VarintLength(key_size) + VarintLength(value_size),
+              framing_bytes);
+    const std::string key(key_size, 'k');
+    const std::string value(value_size, 'v');
+    Counters counters;
+    TaskCounters tc(&counters);
+    {
+      // One byte under the budget stays in memory.
+      SortBuffer under(Opts(1, budget), &tc);
+      ASSERT_TRUE(under.Add(0, key, Slice(value.data(), value_size - 1)).ok());
+      EXPECT_EQ(under.spill_count(), 0u);
+    }
+    SortBuffer buffer(Opts(1, budget), &tc);
+    ASSERT_TRUE(buffer.Add(0, key, value).ok());
+    ASSERT_TRUE(buffer.Add(0, "tail", "t").ok());
+    std::vector<SpillRun> runs;
+    ASSERT_TRUE(buffer.Finish(&runs).ok());
+    EXPECT_EQ(buffer.spill_count(), 2u);  // Boundary spill + final flush.
+    size_t total = 0;
+    for (const auto& run : runs) {
+      total += ReadPartition(run, 0).size();
+    }
+    EXPECT_EQ(total, 2u);
   }
 
   std::unique_ptr<TempDir> dir_;
@@ -197,23 +235,13 @@ TEST_F(SortBufferTest, PartitionOutOfRangeRejected) {
 }
 
 TEST_F(SortBufferTest, RecordExactlyAtBudgetSpillsAndSurvives) {
-  Counters counters;
-  TaskCounters tc(&counters);
-  const size_t budget = 256;
-  SortBuffer buffer(Opts(1, budget), &tc);
-  // Key + value + the 24-byte RecordRef land exactly on the budget.
-  const std::string key(100, 'k');
-  const std::string value(budget - key.size() - 24, 'v');
-  ASSERT_TRUE(buffer.Add(0, key, value).ok());
-  ASSERT_TRUE(buffer.Add(0, "tail", "t").ok());
-  std::vector<SpillRun> runs;
-  ASSERT_TRUE(buffer.Finish(&runs).ok());
-  EXPECT_EQ(buffer.spill_count(), 2u);  // Boundary spill + final flush.
-  size_t total = 0;
-  for (const auto& run : runs) {
-    total += ReadPartition(run, 0).size();
-  }
-  EXPECT_EQ(total, 2u);
+  ExpectRecordAtBudgetSpills(/*budget=*/256, /*key_size=*/120,
+                             /*framing_bytes=*/2);
+}
+
+TEST_F(SortBufferTest, MultiByteFramedRecordExactlyAtBudgetSpills) {
+  ExpectRecordAtBudgetSpills(/*budget=*/1024, /*key_size=*/200,
+                             /*framing_bytes=*/4);
 }
 
 TEST_F(SortBufferTest, RecordLargerThanBudgetStreamsThroughSpill) {
@@ -238,6 +266,9 @@ TEST_F(SortBufferTest, ArenaOffsetOverflowRejected) {
   SortBuffer buffer(opts, &tc);
   // A record that can never fit the offset space is rejected outright...
   EXPECT_TRUE(buffer.Add(0, "k", std::string(600, 'v')).IsInvalidArgument());
+  // ...and so is one whose key and value fit (511 bytes) but whose framing
+  // does not (514: the value length takes two bytes)...
+  EXPECT_TRUE(buffer.Add(0, "k", std::string(510, 'v')).IsInvalidArgument());
   // ...while records that fit after a spill keep working.
   ASSERT_TRUE(buffer.Add(0, "a", std::string(400, 'v')).ok());
   ASSERT_TRUE(buffer.Add(0, "b", std::string(400, 'v')).ok());
@@ -393,9 +424,10 @@ TEST_F(SortBufferTest, CompressedSpillsShrinkAndCountRunBytes) {
 // --- Sort order against a reference sort ------------------------------
 //
 // An unspilled, uncombined Finish hands the sorted bucket refs to the run
-// as-is, so their `seq` fields spell out the permutation the sort chose.
-// It must equal a reference std::sort under the full order (prefix,
-// Compare, seq) — the one permutation every correct sort produces.
+// as-is, so they spell out the permutation the sort chose. It must equal a
+// reference std::sort under the full order (prefix, Compare, insertion
+// index) — the one permutation every correct sort produces, and the one a
+// stable comparator sort would.
 
 /// Keeps the default constant-0 prefix: every bucket is one equal-prefix
 /// range and no radix pass ever runs.
@@ -416,24 +448,35 @@ class FirstBytePrefixComparator final : public RawComparator {
   const char* Name() const override { return "first-byte-prefix"; }
 };
 
-enum class KeyMix {
+enum class RecordMix {
   kIdentical,      // One key, repeated.
   kZipf,           // Zipf-distributed duplicates of a key pool.
+  kFewKeysZipf,    // Zipf over six close keys: long equal-key runs.
   kSharedPrefix,   // Distinct keys sharing their first 8 bytes.
   kBytePrefixes,   // Keys that are byte-prefixes of other keys.
   kEmpty,          // Half empty keys, half short keys.
+  kLongKeys,       // Keys of 127, 128, 16383 and 16384 bytes.
+  kLongValues,     // kFewKeysZipf's keys, values of 127 to 16384 bytes.
+  kEmptyValues,    // kFewKeysZipf's keys, every value empty.
 };
 
-const char* MixName(KeyMix mix) {
+const char* MixName(RecordMix mix) {
   switch (mix) {
-    case KeyMix::kIdentical: return "identical";
-    case KeyMix::kZipf: return "zipf";
-    case KeyMix::kSharedPrefix: return "shared-prefix";
-    case KeyMix::kBytePrefixes: return "byte-prefixes";
-    case KeyMix::kEmpty: return "empty";
+    case RecordMix::kIdentical: return "identical";
+    case RecordMix::kZipf: return "zipf";
+    case RecordMix::kFewKeysZipf: return "few-keys-zipf";
+    case RecordMix::kSharedPrefix: return "shared-prefix";
+    case RecordMix::kBytePrefixes: return "byte-prefixes";
+    case RecordMix::kEmpty: return "empty";
+    case RecordMix::kLongKeys: return "long-keys";
+    case RecordMix::kLongValues: return "long-values";
+    case RecordMix::kEmptyValues: return "empty-values";
   }
   return "?";
 }
+
+/// Lengths whose varints take one, two and three bytes, at each edge.
+constexpr size_t kFramingEdgeLengths[] = {127, 128, 16383, 16384};
 
 /// Keys are encoded term sequences, so the reverse-lex comparator sees
 /// well-formed input; term ids up to 1e5 give 1–3 byte varints.
@@ -446,40 +489,58 @@ TermSequence RandomSequence(Rng* rng, size_t min_len, size_t max_len,
   return seq;
 }
 
-std::vector<std::string> MakeKeys(KeyMix mix, size_t n, uint64_t seed) {
+std::string Encode(const TermSequence& seq) {
+  std::string key;
+  SequenceCodec::Encode(seq, &key);
+  return key;
+}
+
+/// Samples `n` keys Zipf-distributed over `pool`.
+std::vector<std::string> ZipfKeys(const std::vector<std::string>& pool,
+                                  size_t n, Rng* rng) {
+  const ZipfSampler zipf(pool.size(), 1.0);
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < n; ++i) {
+    keys.push_back(pool[zipf.Sample(rng) - 1]);
+  }
+  return keys;
+}
+
+std::vector<std::string> MakeKeys(RecordMix mix, size_t n, uint64_t seed) {
   Rng rng(seed);
-  auto encode = [](const TermSequence& seq) {
-    std::string key;
-    SequenceCodec::Encode(seq, &key);
-    return key;
-  };
   std::vector<std::string> keys;
   keys.reserve(n);
   switch (mix) {
-    case KeyMix::kIdentical: {
-      const std::string key = encode({3, 1, 4, 1, 5, 9, 2, 6, 5, 3});
-      keys.assign(n, key);
+    case RecordMix::kIdentical:
+      keys.assign(n, Encode({3, 1, 4, 1, 5, 9, 2, 6, 5, 3}));
       break;
-    }
-    case KeyMix::kZipf: {
+    case RecordMix::kZipf: {
       std::vector<std::string> pool;
       for (int i = 0; i < 500; ++i) {
-        pool.push_back(encode(RandomSequence(&rng, 1, 5, 3000)));
+        pool.push_back(Encode(RandomSequence(&rng, 1, 5, 3000)));
       }
-      const ZipfSampler zipf(pool.size(), 1.0);
+      keys = ZipfKeys(pool, n, &rng);
+      break;
+    }
+    case RecordMix::kFewKeysZipf:
+    case RecordMix::kLongValues:
+    case RecordMix::kEmptyValues:
+      // Pairs that differ in their first term, in their last term, only
+      // past the first 8 bytes, and by a byte-prefix.
+      keys = ZipfKeys(
+          {Encode({5, 9, 200, 7}), Encode({6, 9, 200, 7}),
+           Encode({5, 9, 200, 8}), Encode({1, 2, 3, 4, 5, 6, 7, 8, 9}),
+           Encode({1, 2, 3, 4, 5, 6, 7, 8, 10}), Encode({5, 9, 200, 7, 1})},
+          n, &rng);
+      break;
+    case RecordMix::kSharedPrefix: {
+      const std::string head = Encode({1, 2, 3, 4, 5, 6, 7, 8});
       for (size_t i = 0; i < n; ++i) {
-        keys.push_back(pool[zipf.Sample(&rng) - 1]);
+        keys.push_back(head + Encode(RandomSequence(&rng, 1, 3, 100000)));
       }
       break;
     }
-    case KeyMix::kSharedPrefix: {
-      const std::string head = encode({1, 2, 3, 4, 5, 6, 7, 8});
-      for (size_t i = 0; i < n; ++i) {
-        keys.push_back(head + encode(RandomSequence(&rng, 1, 3, 100000)));
-      }
-      break;
-    }
-    case KeyMix::kBytePrefixes: {
+    case RecordMix::kBytePrefixes: {
       // Cut at term boundaries: still byte-prefixes, still well-formed.
       std::vector<TermSequence> bases;
       for (int i = 0; i < 4; ++i) {
@@ -488,15 +549,28 @@ std::vector<std::string> MakeKeys(KeyMix mix, size_t n, uint64_t seed) {
       for (size_t i = 0; i < n; ++i) {
         const TermSequence& base = bases[rng.Uniform(bases.size())];
         const size_t len = rng.Uniform(base.size() + 1);
-        keys.push_back(encode(TermSequence(base.begin(), base.begin() + len)));
+        keys.push_back(Encode(TermSequence(base.begin(), base.begin() + len)));
       }
       break;
     }
-    case KeyMix::kEmpty: {
+    case RecordMix::kEmpty:
       for (size_t i = 0; i < n; ++i) {
-        keys.push_back(rng.OneIn(0.5)
-                           ? std::string()
-                           : encode(RandomSequence(&rng, 1, 2, 50)));
+        keys.push_back(rng.OneIn(0.5) ? std::string()
+                                      : Encode(RandomSequence(&rng, 1, 2, 50)));
+      }
+      break;
+    case RecordMix::kLongKeys: {
+      // One-byte terms, so a key of L terms is L bytes; two pool keys per
+      // length, differing only in their last term.
+      std::vector<std::string> pool;
+      for (size_t len : kFramingEdgeLengths) {
+        const std::string key = Encode(RandomSequence(&rng, len, len, 127));
+        pool.push_back(key);
+        const TermId last = static_cast<TermId>(key.back());
+        pool.push_back(key.substr(0, len - 1) + Encode({last % 127 + 1}));
+      }
+      for (size_t i = 0; i < n; ++i) {
+        keys.push_back(pool[rng.Uniform(pool.size())]);
       }
       break;
     }
@@ -504,18 +578,39 @@ std::vector<std::string> MakeKeys(KeyMix mix, size_t n, uint64_t seed) {
   return keys;
 }
 
+/// Record i's value starts with i in decimal; the long-value mix pads it
+/// to a framing-edge length and the empty-value mix leaves it empty.
+std::string MakeValue(RecordMix mix, size_t i) {
+  std::string value;
+  if (mix != RecordMix::kEmptyValues) {
+    value = std::to_string(i);
+  }
+  if (mix == RecordMix::kLongValues) {
+    value.resize(kFramingEdgeLengths[i % 4], 'v');
+  }
+  return value;
+}
+
 void ExpectReferenceOrder(const RawComparator* cmp, const std::string& dir) {
   const size_t cutoff = SortBuffer::kRadixSortMinRecords;
   const std::vector<size_t> sizes = {0,          1,      2,     cutoff - 1,
                                      cutoff,     cutoff + 1,   20000};
-  const std::vector<KeyMix> mixes = {KeyMix::kIdentical, KeyMix::kZipf,
-                                     KeyMix::kSharedPrefix,
-                                     KeyMix::kBytePrefixes, KeyMix::kEmpty};
-  for (KeyMix mix : mixes) {
+  for (RecordMix mix :
+       {RecordMix::kIdentical, RecordMix::kZipf, RecordMix::kFewKeysZipf,
+        RecordMix::kSharedPrefix, RecordMix::kBytePrefixes, RecordMix::kEmpty,
+        RecordMix::kLongKeys, RecordMix::kLongValues,
+        RecordMix::kEmptyValues}) {
     for (size_t n : sizes) {
+      if (mix == RecordMix::kLongKeys || mix == RecordMix::kLongValues) {
+        n = std::min<size_t>(n, 600);  // ~8 KiB records.
+      }
       SCOPED_TRACE(std::string(cmp->Name()) + " mix=" + MixName(mix) +
                    " n=" + std::to_string(n));
       const std::vector<std::string> keys = MakeKeys(mix, n, 17 + n);
+      std::vector<std::string> values;
+      for (size_t i = 0; i < n; ++i) {
+        values.push_back(MakeValue(mix, i));
+      }
       Counters counters;
       TaskCounters tc(&counters);
       SortBuffer::Options opts;
@@ -524,7 +619,7 @@ void ExpectReferenceOrder(const RawComparator* cmp, const std::string& dir) {
       opts.comparator = cmp;
       SortBuffer buffer(opts, &tc);
       for (size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(buffer.Add(0, keys[i], std::to_string(i)).ok());
+        ASSERT_TRUE(buffer.Add(0, keys[i], values[i]).ok());
       }
       std::vector<SpillRun> runs;
       ASSERT_TRUE(buffer.Finish(&runs).ok());
@@ -551,13 +646,35 @@ void ExpectReferenceOrder(const RawComparator* cmp, const std::string& dir) {
         return c != 0 ? c < 0 : a < b;
       });
 
+      // Insertion indices come from the values. Empty values carry none;
+      // those records are told apart by where their frame must start:
+      // frames are laid out back to back in insertion order.
+      std::map<uint32_t, uint32_t> index_at_offset;
+      uint64_t offset = 0;
+      for (size_t i = 0; i < n; ++i) {
+        index_at_offset[static_cast<uint32_t>(offset)] =
+            static_cast<uint32_t>(i);
+        offset += SortBuffer::RecordCharge(keys[i].size(), values[i].size()) -
+                  sizeof(SortedRecordRef);
+      }
+      ASSERT_EQ(bucket.arena.size(), offset);
       std::vector<uint32_t> got;
-      for (const SortedRecordRef& ref : bucket.refs) {
-        ASSERT_LT(ref.seq, n);
-        ASSERT_EQ(Slice(bucket.arena.data() + ref.key_offset, ref.key_len),
-                  Slice(keys[ref.seq]));
-        ASSERT_EQ(ref.sort_prefix, prefixes[ref.seq]);
-        got.push_back(ref.seq);
+      for (const SortedRecordRef ref : bucket.refs) {
+        Slice key, value;
+        ArenaRecordAt(bucket.arena.data(), ref.offset, &key, &value);
+        uint32_t i = 0;
+        if (value.empty()) {
+          const auto it = index_at_offset.find(ref.offset);
+          ASSERT_NE(it, index_at_offset.end());
+          i = it->second;
+        } else {
+          i = static_cast<uint32_t>(std::stoul(value.ToString()));
+        }
+        ASSERT_LT(i, n);
+        ASSERT_EQ(key, Slice(keys[i]));
+        ASSERT_EQ(value, Slice(values[i]));
+        ASSERT_EQ(ref.sort_prefix, prefixes[i]);
+        got.push_back(i);
       }
       EXPECT_EQ(got, want);
     }
