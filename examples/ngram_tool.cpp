@@ -15,7 +15,8 @@
 //   ngram_tool serve-shuffle <socket-path>
 //
 // Every numeric argument must be a plain unsigned decimal that fits its
-// option (cli_numbers.h); anything else prints usage and exits 2.
+// option (cli_numbers.h) — slot counts at most kMaxSlots; anything else,
+// an unknown --mode included, prints usage and exits 2.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -41,6 +42,9 @@ namespace {
 
 using namespace ngram;
 
+/// Each slot is a thread: more than the process can start would kill it.
+constexpr uint32_t kMaxSlots = 256;
+
 int Usage() {
   fprintf(stderr,
           "usage:\n"
@@ -58,7 +62,9 @@ int Usage() {
           "  ngram_tool build-serving <in.ngs> <out_dir> [--shards=N]\n"
           "             [--block-kb=N]\n"
           "  ngram_tool serve-shuffle <socket-path>\n"
-          "methods: naive, apriori-scan, apriori-index, suffix-sigma\n");
+          "methods: naive, apriori-scan, apriori-index, suffix-sigma\n"
+          "--slots and --shuffle-slots: at most %u (a thread each)\n",
+          kMaxSlots);
   return 2;
 }
 
@@ -138,14 +144,20 @@ int CmdStats(const std::vector<std::string>& args) {
         return Usage();
       }
     } else if (ParseFlag(args[i], "mode", &value)) {
-      options.frequency_mode = value == "df" ? FrequencyMode::kDocument
-                                             : FrequencyMode::kCollection;
+      if (value == "cf") {
+        options.frequency_mode = FrequencyMode::kCollection;
+      } else if (value == "df") {
+        options.frequency_mode = FrequencyMode::kDocument;
+      } else {
+        return Usage();
+      }
     } else if (ParseFlag(args[i], "reducers", &value)) {
       if (!cli::ParseCount(value, &options.num_reducers)) {
         return Usage();
       }
     } else if (ParseFlag(args[i], "slots", &value)) {
-      if (!cli::ParseCount(value, &options.map_slots)) {
+      if (!cli::ParseCount(value, &options.map_slots) ||
+          options.map_slots > kMaxSlots) {
         return Usage();
       }
       options.reduce_slots = options.map_slots;
@@ -158,7 +170,8 @@ int CmdStats(const std::vector<std::string>& args) {
         return Usage();
       }
     } else if (ParseFlag(args[i], "shuffle-slots", &value)) {
-      if (!cli::ParseCount(value, &options.shuffle_slots)) {
+      if (!cli::ParseCount(value, &options.shuffle_slots) ||
+          options.shuffle_slots > kMaxSlots) {
         return Usage();
       }
     } else if (ParseFlag(args[i], "max-task-attempts", &value)) {

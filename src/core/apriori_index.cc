@@ -5,6 +5,7 @@
 #include "core/counting.h"
 #include "kvstore/spillable.h"
 #include "util/logging.h"
+#include "util/temp_dir.h"
 
 namespace ngram {
 

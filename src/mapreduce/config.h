@@ -126,11 +126,11 @@ struct JobConfig {
   IoEnv* io_env = nullptr;
 
   /// Fetch shuffle (docs/architecture.md section 10). Off (default):
-  /// reduce tasks plan directly over the shared MapOutputRegistry — the
-  /// single-process fast path. On: every committed map task's output is
-  /// *published* to a MapOutputServer and *fetched* back over a byte
-  /// stream into local clone run files, and the reduce side plans only
-  /// over the fetched clones — the Hadoop/YTsaurus placement model, where
+  /// reduce tasks read the map tasks' own runs — the single-process fast
+  /// path. On: every committed map task's output is *published* to a
+  /// MapOutputServer and *fetched* back over a byte stream into local
+  /// clone run files, which the job's one MapOutputRegistry holds and the
+  /// reduce side plans over — the Hadoop/YTsaurus placement model, where
   /// every shuffled byte crosses a transport. Clones are byte-identical
   /// to their sources with identical segment extents, so job output and
   /// data counters are byte-identical on or off for every merge factor

@@ -14,39 +14,41 @@ FileRecordReader::FileRecordReader(const std::string& path, uint64_t offset,
   // the merge issuing few large sequential reads.
   Status st = ResolveEnv(env)->NewReadableFile(path, buffer_size, &file_);
   if (!st.ok()) {
-    status_ = st.WithContext("open run for reading");
+    Fail(st.WithContext("open run for reading"));
     remaining_file_bytes_ = 0;
     return;
   }
   st = file_->Seek(offset);
   if (!st.ok()) {
-    status_ = st.WithContext("seek to run extent");
+    Fail(st.WithContext("seek to run extent"));
     remaining_file_bytes_ = 0;
   }
 }
 
 FileRecordReader::~FileRecordReader() = default;
 
+bool FileRecordReader::Fail(const Status& st) {
+  status_ = st.WithPath(path_);
+  return false;
+}
+
 bool FileRecordReader::ReadExact(char* dst, size_t n) {
   if (remaining_file_bytes_ < n) {
-    status_ = Status::Corruption(
+    return Fail(Status::Corruption(
         "truncated block at offset " + std::to_string(next_block_offset_) +
-        " in " + path_ + " (run extent ends mid-block)");
-    return false;
+        " in " + path_ + " (run extent ends mid-block)"));
   }
   size_t got = 0;
   while (got < n) {
     size_t r = 0;
     Status st = file_->Read(dst + got, n - got, &r);
     if (!st.ok()) {
-      status_ = st.WithContext("read run block");
-      return false;
+      return Fail(st.WithContext("read run block"));
     }
     if (r == 0) {
-      status_ = Status::Corruption(
+      return Fail(Status::Corruption(
           "truncated block at offset " + std::to_string(next_block_offset_) +
-          " in " + path_ + " (unexpected EOF)");
-      return false;
+          " in " + path_ + " (unexpected EOF)"));
     }
     got += r;
     remaining_file_bytes_ -= r;
@@ -57,10 +59,9 @@ bool FileRecordReader::ReadExact(char* dst, size_t n) {
 bool FileRecordReader::LoadNextBlock() {
   const uint64_t block_offset = next_block_offset_;
   auto corrupt = [&](const std::string& what) {
-    status_ = Status::Corruption(what + " in block at offset " +
-                                 std::to_string(block_offset) + " of " +
-                                 path_);
-    return false;
+    return Fail(Status::Corruption(what + " in block at offset " +
+                                   std::to_string(block_offset) + " of " +
+                                   path_));
   };
 
   // Block length header: a varint, read byte by byte.
@@ -113,8 +114,7 @@ bool FileRecordReader::LoadNextBlock() {
   Status st =
       DecodeBlockPayload(Slice(block_scratch_), block_offset, path_, &decoded);
   if (!st.ok()) {
-    status_ = std::move(st);
-    return false;
+    return Fail(st);
   }
   active_decoded_ = 1 - active_decoded_;
   decoded_cur_ = Slice(decoded);
@@ -140,8 +140,7 @@ bool FileRecordReader::Next() {
       vlen > decoded_cur_.size() - klen) {
     // Unreachable unless the decoder itself is broken: decoded frames are
     // produced, not read, by this class.
-    status_ = Status::Internal("malformed decoded block frame");
-    return false;
+    return Fail(Status::Internal("malformed decoded block frame"));
   }
   key_ = Slice(decoded_cur_.data(), klen);
   value_ = Slice(decoded_cur_.data() + klen, vlen);

@@ -118,6 +118,9 @@ class FileRecordReader final : public RecordReader {
   bool Next() override;
 
  private:
+  /// Records `st` with this run file as its Status::path(), which recovery
+  /// blames whatever the message says. Returns false.
+  bool Fail(const Status& st);
   /// Reads exactly `n` bytes of the extent into `dst`, distinguishing
   /// EOF-truncation (Corruption) from read failure (IOError).
   bool ReadExact(char* dst, size_t n);
@@ -125,7 +128,7 @@ class FileRecordReader final : public RecordReader {
   /// buffer the previous block did NOT use. False at extent end or error.
   bool LoadNextBlock();
 
-  const std::string path_;  // For block-offset error messages.
+  const std::string path_;  // Named by every error this reader records.
   std::unique_ptr<ReadableFile> file_;
   uint64_t remaining_file_bytes_;
   uint64_t next_block_offset_;   // Absolute file offset of the next block.

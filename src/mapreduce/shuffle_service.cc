@@ -7,6 +7,95 @@
 
 namespace ngram::mr {
 
+MapOutputRegistry::MapOutputRegistry(uint32_t num_tasks) {
+  MutexLock lock(&mu_);
+  runs_.resize(num_tasks);
+  generation_.assign(num_tasks, 0);
+  executions_.assign(num_tasks, 0);
+  regenerating_.assign(num_tasks, 0);
+}
+
+int MapOutputRegistry::Snapshot::TaskOf(const std::string& path) const {
+  if (path.empty()) {
+    return -1;  // In-memory runs have empty paths too.
+  }
+  for (size_t t = 0; t < runs.size(); ++t) {
+    for (const SpillRun& run : *runs[t]) {
+      if (run.file_path == path) {
+        return static_cast<int>(t);
+      }
+    }
+  }
+  return -1;
+}
+
+MapOutputRegistry::Runs MapOutputRegistry::Keep(std::vector<SpillRun> runs) {
+  kept_.push_back(
+      std::make_shared<const std::vector<SpillRun>>(std::move(runs)));
+  return kept_.back();
+}
+
+void MapOutputRegistry::Commit(uint32_t task, std::vector<SpillRun> runs,
+                               std::vector<SpillRun> served) {
+  MutexLock lock(&mu_);
+  runs_[task] = Keep(std::move(runs));
+  Keep(std::move(served));
+  executions_[task] = 1;
+}
+
+MapOutputRegistry::Snapshot MapOutputRegistry::SettledSnapshot() {
+  MutexLock lock(&mu_);
+  while (num_regenerating_ != 0) {
+    settled_cv_.Wait();
+  }
+  return Snapshot{runs_, generation_};
+}
+
+MapOutputRegistry::Recovery MapOutputRegistry::BeginRecovery(
+    uint32_t task, uint32_t seen_generation, uint32_t max_attempts,
+    uint32_t* attempt_base) {
+  MutexLock lock(&mu_);
+  while (regenerating_[task] != 0) {
+    settled_cv_.Wait();
+  }
+  if (generation_[task] != seen_generation) {
+    return Recovery::kAlreadyReplaced;
+  }
+  if (executions_[task] >= max_attempts) {
+    return Recovery::kBudgetExhausted;
+  }
+  regenerating_[task] = 1;
+  ++num_regenerating_;
+  *attempt_base = executions_[task] * max_attempts;
+  return Recovery::kRun;
+}
+
+void MapOutputRegistry::EndRecovery(uint32_t task, bool replaced,
+                                    std::vector<SpillRun> runs,
+                                    std::vector<SpillRun> served) {
+  {
+    MutexLock lock(&mu_);
+    regenerating_[task] = 0;
+    --num_regenerating_;
+    ++executions_[task];
+    if (replaced) {
+      // The corrupt generation stays kept: stale reduce attempts may
+      // still hold pointers into it.
+      runs_[task] = Keep(std::move(runs));
+      Keep(std::move(served));
+      ++generation_[task];
+    }
+  }
+  settled_cv_.SignalAll();
+}
+
+void MapOutputRegistry::RemoveFiles(IoEnv* env) {
+  MutexLock lock(&mu_);
+  for (const Runs& runs : kept_) {
+    RemoveRunFiles(*runs, env);
+  }
+}
+
 EarlyShuffleService::EarlyShuffleService(const Options& options,
                                          MapOutputRegistry* registry,
                                          Counters* counters)
@@ -52,17 +141,14 @@ void EarlyShuffleService::NotifyMapTaskCommitted(uint32_t task) {
   // Snapshot the committed task's per-partition fd footprint once, so
   // window scanning never has to touch the registry.
   std::vector<uint32_t> fds(options_.num_partitions, 0);
-  {
-    MutexLock reg_lock(&registry_->mu);
-    const std::vector<SpillRun>& runs = *registry_->runs[task];
-    for (const SpillRun& run : runs) {
-      if (run.in_memory()) {
-        continue;
-      }
-      for (uint32_t p = 0; p < options_.num_partitions; ++p) {
-        if (run.segments[p].num_records > 0) {
-          ++fds[p];
-        }
+  const MapOutputRegistry::Snapshot snapshot = registry_->SettledSnapshot();
+  for (const SpillRun& run : *snapshot.runs[task]) {
+    if (run.in_memory()) {
+      continue;
+    }
+    for (uint32_t p = 0; p < options_.num_partitions; ++p) {
+      if (run.segments[p].num_records > 0) {
+        ++fds[p];
       }
     }
   }
@@ -91,37 +177,20 @@ void EarlyShuffleService::Finish() {
   workers_.clear();
 }
 
-void EarlyShuffleService::InvalidateTask(uint32_t task) {
-  if (!enabled_) {
-    return;
-  }
-  MutexLock lock(&mu_);
-  for (PartitionState& part : parts_) {
-    for (const std::shared_ptr<EarlyMergeOutput>& out : part.outputs) {
-      if (out->first_task <= task && task <= out->last_task) {
-        out->invalidated = true;
-      }
-    }
-  }
-}
-
-bool EarlyShuffleService::InvalidateOutputNamedIn(
-    const std::string& message) {
+bool EarlyShuffleService::InvalidateOutput(const std::string& path) {
   if (!enabled_) {
     return false;
   }
   MutexLock lock(&mu_);
-  bool matched = false;
   for (PartitionState& part : parts_) {
     for (const std::shared_ptr<EarlyMergeOutput>& out : part.outputs) {
-      if (!out->invalidated && !out->run.file_path.empty() &&
-          message.find(out->run.file_path) != std::string::npos) {
+      if (!out->invalidated && out->run.file_path == path) {
         out->invalidated = true;
-        matched = true;
+        return true;  // Output paths are unique.
       }
     }
   }
-  return matched;
+  return false;
 }
 
 std::vector<std::shared_ptr<const EarlyMergeOutput>>
@@ -155,11 +224,6 @@ EarlyShuffleService::OutputsFor(
               return a->first_task < b->first_task;
             });
   return result;
-}
-
-uint64_t EarlyShuffleService::completed_merges() const {
-  MutexLock lock(&mu_);
-  return completed_merges_;
 }
 
 void EarlyShuffleService::WorkerLoop() {
@@ -259,21 +323,15 @@ void EarlyShuffleService::MergeWindow(const Window& window,
   // run object alive for the duration of the merge even if the task were
   // retired mid-flight (it cannot be during the map phase, but the
   // snapshot discipline matches the reduce side's).
-  std::vector<std::shared_ptr<std::vector<SpillRun>>> snapshot;
+  const MapOutputRegistry::Snapshot snapshot = registry_->SettledSnapshot();
   auto output = std::make_shared<EarlyMergeOutput>();
   output->partition = window.partition;
   output->first_task = window.first_task;
   output->last_task = window.last_task;
-  {
-    MutexLock reg_lock(&registry_->mu);
-    for (uint32_t t = window.first_task; t <= window.last_task; ++t) {
-      snapshot.push_back(registry_->runs[t]);
-      output->generations.push_back(registry_->generation[t]);
-    }
-  }
   std::vector<const SpillRun*> run_ptrs;
-  for (const auto& task_runs : snapshot) {
-    for (const SpillRun& run : *task_runs) {
+  for (uint32_t t = window.first_task; t <= window.last_task; ++t) {
+    output->generations.push_back(snapshot.generations[t]);
+    for (const SpillRun& run : *snapshot.runs[t]) {
       run_ptrs.push_back(&run);
     }
   }
@@ -299,7 +357,6 @@ void EarlyShuffleService::MergeWindow(const Window& window,
     part.state[t] = verdict;
   }
   if (st.ok()) {
-    ++completed_merges_;
     part.outputs.push_back(std::move(output));
   } else {
     // Best-effort: the window is never retried eagerly; the reduce phase

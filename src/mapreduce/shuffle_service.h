@@ -32,12 +32,11 @@
 // its partial output, marks the window failed, and the reduce phase falls
 // back to the committed runs — an eager failure never fails the job, and
 // a corrupt run still surfaces through the reducer's own read, triggering
-// producer re-execution as before. A re-execution retires the producing
-// task's generation; every eager output built over it is invalidated
-// (reduce attempts validate outputs against their generation snapshot, so
-// a stale output is never substituted) and its file is retired until job
-// end — like retired run generations, it is not unlinked immediately
-// because a stale reduce attempt may still be reading it.
+// producer re-execution as before. A re-execution bumps the producing
+// task's generation, and reduce attempts only substitute outputs whose
+// recorded generations match their snapshot; a stale output's file stays
+// until the service is destroyed, because a stale reduce attempt may
+// still be reading it.
 #pragma once
 
 #include <cstdint>
@@ -57,39 +56,78 @@
 
 namespace ngram::mr {
 
-/// \brief Committed map output, with the bookkeeping corruption recovery
-/// and the early shuffle service need.
+/// \brief Committed map output, one entry per map task, and the generation
+/// protocol recovery and early shuffle share. One per job; private lock.
 ///
-/// Each task's run vector is a shared_ptr *generation*. A reduce attempt
-/// (or eager merge worker) snapshots the shared_ptrs it plans over, so
-/// re-executing a map task — which installs a fresh generation — never
-/// frees run objects a stale reader is still using; replaced generations
-/// are retired: their objects stay alive and their files on disk until
-/// job end, when the driver's cleanup guard removes everything.
-struct MapOutputRegistry {
-  Mutex mu;
-  /// Signaled whenever a generation settles (regeneration finished,
-  /// successful or not): reduce attempts wait for a settled registry
-  /// before planning, and recoveries wait out a racing regeneration.
-  CondVar cv{&mu};
-  std::vector<std::shared_ptr<std::vector<SpillRun>>> runs
-      NGRAM_GUARDED_BY(mu);
-  /// Bumped per re-execution.
-  std::vector<uint32_t> generation NGRAM_GUARDED_BY(mu);
-  /// Completed executions of the task.
-  std::vector<uint32_t> executions NGRAM_GUARDED_BY(mu);
-  /// A recovery is in flight.
-  std::vector<uint8_t> regenerating NGRAM_GUARDED_BY(mu);
-  std::vector<std::shared_ptr<std::vector<SpillRun>>> retired
-      NGRAM_GUARDED_BY(mu);
+/// Each task's runs are a shared_ptr *generation*: readers hold the ones
+/// they plan over, so re-executing a task never frees run objects a stale
+/// reader still uses. Every generation installed is kept, files too,
+/// until RemoveFiles() at job end. In fetch mode an entry holds the clones
+/// the reduce side reads; the origin runs are kept, only served.
+class MapOutputRegistry {
+ public:
+  using Runs = std::shared_ptr<const std::vector<SpillRun>>;
 
-  void Resize(uint32_t num_tasks) NGRAM_EXCLUDES(mu) {
-    MutexLock lock(&mu);
-    runs.resize(num_tasks);
-    generation.assign(num_tasks, 0);
-    executions.assign(num_tasks, 0);
-    regenerating.assign(num_tasks, 0);
-  }
+  /// Every task's generation at one instant, indexed by map task id.
+  struct Snapshot {
+    std::vector<Runs> runs;
+    std::vector<uint32_t> generations;
+
+    /// The task owning run file `path` (exact match), else -1.
+    int TaskOf(const std::string& path) const;
+  };
+
+  enum class Recovery : uint8_t {
+    kAlreadyReplaced,  // Replaced since the caller's snapshot: re-plan.
+    kBudgetExhausted,  // No executions left: the corruption is fatal.
+    kRun,              // Re-execute the task, then call EndRecovery().
+  };
+
+  explicit MapOutputRegistry(uint32_t num_tasks);
+  NGRAM_DISALLOW_COPY_AND_ASSIGN(MapOutputRegistry);
+
+  /// Records task `task`'s first execution: `runs` is what the reduce
+  /// side reads, `served` the fetch-mode origin runs (empty otherwise).
+  /// A failed execution commits empty vectors.
+  void Commit(uint32_t task, std::vector<SpillRun> runs,
+              std::vector<SpillRun> served) NGRAM_EXCLUDES(mu_);
+
+  /// The current generations, once no regeneration is in flight (a plan
+  /// made mid-regeneration could mix in files about to be retired).
+  Snapshot SettledSnapshot() NGRAM_EXCLUDES(mu_);
+
+  /// Starts re-executing task `task`, found corrupt in generation
+  /// `seen_generation`, after waiting out one already in flight. A task
+  /// gets `max_attempts` executions; on kRun `*attempt_base` (executions x
+  /// max_attempts) is the first attempt id, so its run names are new.
+  Recovery BeginRecovery(uint32_t task, uint32_t seen_generation,
+                         uint32_t max_attempts, uint32_t* attempt_base)
+      NGRAM_EXCLUDES(mu_);
+
+  /// Ends a kRun re-execution. With `replaced`, `runs`/`served` (as for
+  /// Commit) become the next generation; a failed re-execution has no
+  /// output. Either way it counts against the budget and waiters wake.
+  void EndRecovery(uint32_t task, bool replaced, std::vector<SpillRun> runs,
+                   std::vector<SpillRun> served) NGRAM_EXCLUDES(mu_);
+
+  /// Unlinks every run file the registry ever held. Job end only: no
+  /// server, eager worker or task may still read them.
+  void RemoveFiles(IoEnv* env) NGRAM_EXCLUDES(mu_);
+
+ private:
+  /// Keeps `runs` until RemoveFiles() and returns them.
+  Runs Keep(std::vector<SpillRun> runs) NGRAM_REQUIRES(mu_);
+
+  Mutex mu_;
+  /// Signaled whenever a regeneration ends, successful or not.
+  CondVar settled_cv_{&mu_};
+  std::vector<Runs> runs_ NGRAM_GUARDED_BY(mu_);
+  std::vector<uint32_t> generation_ NGRAM_GUARDED_BY(mu_);
+  std::vector<uint32_t> executions_ NGRAM_GUARDED_BY(mu_);
+  std::vector<uint8_t> regenerating_ NGRAM_GUARDED_BY(mu_);
+  uint32_t num_regenerating_ NGRAM_GUARDED_BY(mu_) = 0;
+  /// Every generation installed, and the fetch-mode origin runs.
+  std::vector<Runs> kept_ NGRAM_GUARDED_BY(mu_);
 };
 
 /// \brief One eagerly pre-merged intermediate: partition `partition` of
@@ -106,10 +144,10 @@ struct EarlyMergeOutput {
   std::vector<uint32_t> generations;
   /// Synthetic run: only segments[partition] is non-empty.
   SpillRun run;
-  /// Set when a covered task's generation was retired (producer
-  /// re-execution): no new attempt may substitute this output. The file
-  /// stays on disk until the service is destroyed — a stale attempt that
-  /// planned over it may still be reading.
+  /// Set when a reduce attempt found this output's file corrupt: no new
+  /// attempt may substitute it. The file stays on disk until the service
+  /// is destroyed — a stale attempt that planned over it may still be
+  /// reading.
   bool invalidated = false;
 };
 
@@ -123,11 +161,12 @@ struct EarlyMergeOutput {
 ///      drains in-flight ones, joins the workers. After Finish() the
 ///      output set only shrinks (invalidation).
 ///   4. OutputsFor(partition, generations) per reduce attempt;
-///      InvalidateTask(t) after a producer re-execution.
+///      InvalidateOutput(path) when a reduce attempt found that eager
+///      output corrupt.
 /// The destructor runs Finish() if the driver did not, then unlinks every
 /// eager output file — the work_dir-clean guarantee. It must run before
-/// the driver's run-file cleanup (declare the service after the cleanup
-/// guard) so no worker can be reading a run file while it is unlinked.
+/// MapOutputRegistry::RemoveFiles() so no worker can be reading a run
+/// file while it is unlinked.
 class EarlyShuffleService {
  public:
   struct Options {
@@ -147,9 +186,6 @@ class EarlyShuffleService {
   ~EarlyShuffleService();
   NGRAM_DISALLOW_COPY_AND_ASSIGN(EarlyShuffleService);
 
-  /// True when workers were actually started.
-  bool enabled() const { return enabled_; }
-
   /// Map task `task` committed its (generation-0) runs; wakes workers.
   void NotifyMapTaskCommitted(uint32_t task) NGRAM_EXCLUDES(mu_);
 
@@ -157,20 +193,12 @@ class EarlyShuffleService {
   /// workers. Idempotent.
   void Finish() NGRAM_EXCLUDES(mu_);
 
-  /// Task `task`'s generation was retired by a producer re-execution:
-  /// invalidates every output built over it (files stay on disk until
-  /// destruction — see EarlyMergeOutput::invalidated).
-  void InvalidateTask(uint32_t task) NGRAM_EXCLUDES(mu_);
-
-  /// A reduce attempt failed with `message` (an error-context string that
-  /// names the offending file). If it names an eager output, invalidates
-  /// that output — the intermediate went bad on disk after its merge — so
-  /// re-planning falls back to the committed runs instead of re-reading
-  /// the doomed file. Returns true when an output matched. Invalidation
-  /// only ever shrinks the output set, so recovery retries triggered by
-  /// this are bounded by the number of outputs.
-  bool InvalidateOutputNamedIn(const std::string& message)
-      NGRAM_EXCLUDES(mu_);
+  /// A reduce attempt failed reading file `path` (Status::path()). If it
+  /// is a live eager output — it went bad on disk after its merge —
+  /// invalidates it, so re-planning falls back to the committed runs, and
+  /// returns true. Invalidation only shrinks the output set, so retries
+  /// triggered by this are bounded by the number of outputs.
+  bool InvalidateOutput(const std::string& path) NGRAM_EXCLUDES(mu_);
 
   /// The outputs a reduce attempt with generation snapshot `generations`
   /// may substitute for partition `partition`: valid (not invalidated,
@@ -179,9 +207,6 @@ class EarlyShuffleService {
   std::vector<std::shared_ptr<const EarlyMergeOutput>> OutputsFor(
       uint32_t partition, const std::vector<uint32_t>& generations) const
       NGRAM_EXCLUDES(mu_);
-
-  /// Eager merge passes completed successfully (tests/benchmarks).
-  uint64_t completed_merges() const NGRAM_EXCLUDES(mu_);
 
  private:
   /// Per-(partition, task) scheduling state. kPending: task not committed
@@ -230,7 +255,6 @@ class EarlyShuffleService {
   bool stopping_ NGRAM_GUARDED_BY(mu_) = false;
   /// Output file name sequence.
   uint64_t seq_ NGRAM_GUARDED_BY(mu_) = 0;
-  uint64_t completed_merges_ NGRAM_GUARDED_BY(mu_) = 0;
   /// Round-robin scan start.
   uint32_t next_partition_ NGRAM_GUARDED_BY(mu_) = 0;
   std::vector<PartitionState> parts_ NGRAM_GUARDED_BY(mu_);

@@ -166,6 +166,7 @@ class SortBuffer {
   Status Finish(std::vector<SpillRun>* runs);
 
   uint64_t spill_count() const { return spill_count_; }
+  uint32_t num_partitions() const { return options_.num_partitions; }
 
   /// Ranges of fewer records skip the radix passes and take an insertion
   /// sort under the full order.

@@ -19,14 +19,14 @@
 // absorbs transient transport faults (dropped connections, truncated
 // frames). What retries cannot absorb (persistent faults, a corrupt
 // frame every time) fails Mirror(), which unlinks every clone it had
-// committed; the caller (the map-attempt loop in job.h) treats that as a
-// failed map attempt, so persistent fetch failure consumes map attempts,
-// never reduce attempts. Corruption that travels *silently* (the origin
-// run was damaged on disk before serving — transit CRCs all pass)
-// surfaces later at reduce time from the clone's own block CRCs, naming
-// the clone path, and the driver's find_producer -> recover_producer
-// machinery re-runs the producing map task. Either way the protocol of
-// PR 6 holds: fetch failures map onto producer re-execution.
+// committed; the caller (the map-attempt loop in job.cc) treats that as
+// a failed map attempt, so persistent fetch failure consumes map
+// attempts, never reduce attempts. Corruption that travels *silently*
+// (the origin run was damaged on disk before serving — transit CRCs all
+// pass) surfaces later at reduce time from the clone's own block CRCs,
+// with the clone as the error's Status::path(); the driver looks that
+// path up in its registry snapshot and re-runs the producing map task.
+// Either way fetch failures map onto producer re-execution.
 #pragma once
 
 #include <cstdint>

@@ -35,10 +35,14 @@ const char* StatusCodeToString(StatusCode code) {
 }
 
 Status::Status(StatusCode code, std::string msg)
-    : state_(new State{code, std::move(msg)}) {}
+    : state_(new State{code, std::move(msg), std::string()}) {}
 
 const std::string& Status::message() const {
   return state_ == nullptr ? kEmptyString : state_->msg;
+}
+
+const std::string& Status::path() const {
+  return state_ == nullptr ? kEmptyString : state_->path;
 }
 
 std::string Status::ToString() const {
@@ -55,7 +59,17 @@ Status Status::WithContext(const std::string& context) const {
   if (ok()) {
     return *this;
   }
-  return Status(state_->code, context + ": " + state_->msg);
+  Status out(state_->code, context + ": " + state_->msg);
+  out.state_->path = state_->path;
+  return out;
+}
+
+Status Status::WithPath(std::string path) const {
+  Status out = *this;
+  if (!out.ok()) {
+    out.state_->path = std::move(path);
+  }
+  return out;
 }
 
 }  // namespace ngram

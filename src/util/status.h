@@ -28,6 +28,10 @@ const char* StatusCodeToString(StatusCode code);
 
 /// \brief Result of a fallible operation: either OK or a code plus message.
 ///
+/// An error may name the file it is about (path()), so recovery can blame
+/// its producer without parsing the message. Copies and WithContext()
+/// keep it; ToString() leaves it out — messages already name the file.
+///
 /// The OK state carries no allocation; error states allocate a small state
 /// object. Statuses are cheap to move and copy.
 class [[nodiscard]] Status {
@@ -93,12 +97,17 @@ class [[nodiscard]] Status {
     return state_ == nullptr ? StatusCode::kOk : state_->code;
   }
   const std::string& message() const;
+  /// The file this error is about; empty when none was attached.
+  const std::string& path() const;
 
   /// Full "Code: message" rendering for logs and test failures.
   std::string ToString() const;
 
-  /// Prefixes the message with additional context, keeping the code.
+  /// Prefixes the message with additional context, keeping code and path.
   Status WithContext(const std::string& context) const;
+
+  /// The same error, naming `path` as the file it is about. OK stays OK.
+  Status WithPath(std::string path) const;
 
   /// Explicitly discards the status. The class is [[nodiscard]]; cleanup
   /// paths that genuinely do not care (e.g. best-effort unlinks of files
@@ -109,6 +118,7 @@ class [[nodiscard]] Status {
   struct State {
     StatusCode code;
     std::string msg;
+    std::string path;
   };
   std::unique_ptr<State> state_;  // nullptr means OK.
 };

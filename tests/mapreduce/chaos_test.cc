@@ -10,10 +10,13 @@
 // interleaving-independent.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -556,6 +559,138 @@ TEST(ChaosTest, CorruptFetchedRunTriggersProducerReexecution) {
   EXPECT_EQ(FilesIn(work_dir), 0u);
 }
 
+// ------------------------------------------ blame by path, not by message
+
+/// Passes everything through to IoEnv::Default(), except that every read
+/// of the file named `basename` fails with a Corruption whose message does
+/// not name the file — a device-level error, not a reader's own check.
+/// The first `readers` failing reads wait for each other (for at most ten
+/// seconds), so that many concurrent readers all hold the corruption
+/// before any of them can act on it.
+class BadSectorEnv final : public IoEnv {
+ public:
+  BadSectorEnv(std::string basename, uint64_t readers)
+      : basename_(std::move(basename)), readers_(readers) {}
+
+  Status NewReadableFile(const std::string& path, size_t buffer_hint,
+                         std::unique_ptr<ReadableFile>* file) override {
+    NGRAM_RETURN_NOT_OK(
+        IoEnv::Default()->NewReadableFile(path, buffer_hint, file));
+    if (std::filesystem::path(path).filename() == basename_) {
+      *file = std::make_unique<BadSectorFile>(std::move(*file), this);
+    }
+    return Status::OK();
+  }
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* file) override {
+    return IoEnv::Default()->NewWritableFile(path, file);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return IoEnv::Default()->Rename(from, to);
+  }
+  Status Unlink(const std::string& path) override {
+    return IoEnv::Default()->Unlink(path);
+  }
+  Status FileSize(const std::string& path, uint64_t* size) override {
+    return IoEnv::Default()->FileSize(path, size);
+  }
+
+  uint64_t failed_reads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return failed_reads_;
+  }
+
+ private:
+  class BadSectorFile final : public ReadableFile {
+   public:
+    BadSectorFile(std::unique_ptr<ReadableFile> base, BadSectorEnv* env)
+        : base_(std::move(base)), env_(env) {}
+
+    Status Read(char* dst, size_t n, size_t* read) override {
+      *read = 0;
+      env_->Rendezvous();
+      return Status::Corruption("bad sector");
+    }
+    Status Seek(uint64_t offset) override { return base_->Seek(offset); }
+
+   private:
+    std::unique_ptr<ReadableFile> base_;
+    BadSectorEnv* env_;
+  };
+
+  void Rendezvous() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++failed_reads_ > readers_) {
+      return;
+    }
+    arrived_.notify_all();
+    arrived_.wait_for(lock, std::chrono::seconds(10),
+                      [this] { return failed_reads_ >= readers_; });
+  }
+
+  const std::string basename_;
+  const uint64_t readers_;
+  std::mutex mu_;
+  std::condition_variable arrived_;
+  uint64_t failed_reads_ = 0;
+};
+
+/// Corruption is blamed on the producer of the file it was read from,
+/// whatever the message says, and exactly once: all four reducers hold a
+/// failed read of map task 0's first committed run before any of them
+/// recovers (every partition has records in it), but only one may
+/// re-execute the task — the others wait that re-execution out or find
+/// the generation already replaced, and re-plan without a retry.
+TEST(ChaosTest, PathlessCorruptionIsBlamedOnItsProducerOnce) {
+  for (const bool fetch : {false, true}) {
+    SCOPED_TRACE(fetch ? "fetch on" : "fetch off");
+    JobConfig config = ChaosConfig(/*merge_factor=*/0);
+    config.name = "bad-sector";
+    config.num_reducers = 4;
+    config.reduce_slots = 4;
+    config.max_task_attempts = 2;
+    config.fetch_shuffle = fetch;
+    const RecordTable input = ChaosInput();
+    auto run_job = [&](IoEnv* env, const std::string& work_dir,
+                       RecordTable* output) {
+      JobConfig job_config = config;
+      job_config.io_env = env;
+      job_config.work_dir = work_dir;
+      return RunJob<FanOutMapper, IdentityReducer>(
+          job_config, input, [] { return std::make_unique<FanOutMapper>(); },
+          [] { return std::make_unique<IdentityReducer>(); }, output);
+    };
+
+    auto baseline_dir = TempDir::Create("bad-sector-baseline");
+    ASSERT_TRUE(baseline_dir.ok());
+    RecordTable baseline_output;
+    const auto baseline = run_job(nullptr, baseline_dir->path().string(),
+                                  &baseline_output);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    ASSERT_GT(baseline->Counter(kSpillFiles), 0u);
+
+    // Fetch on, the reduce side reads the clone; the origin is only served
+    // (a fault there would fail the map attempt, not the reduce side).
+    BadSectorEnv env(fetch ? "fetch-0-a0-0.run" : "map-0-a0-000000.run",
+                     /*readers=*/config.num_reducers);
+    auto dir = TempDir::Create("bad-sector");
+    ASSERT_TRUE(dir.ok());
+    const std::string work_dir = dir->path().string();
+    RecordTable output;
+    const auto result = run_job(&env, work_dir, &output);
+
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GE(env.failed_reads(), config.num_reducers);
+    EXPECT_EQ(result->Counter(kMapReexecutions), 1u);
+    EXPECT_EQ(result->Counter(kCorruptRunsRecovered), 1u);
+    EXPECT_EQ(result->Counter(kTaskRetries), 0u);
+    EXPECT_EQ(TableBytes(output), TableBytes(baseline_output));
+    EXPECT_EQ(StripFetchCounters(StripRecoveryCounters(result->counters)),
+              StripFetchCounters(StripRecoveryCounters(baseline->counters)));
+    EXPECT_EQ(FilesIn(work_dir), 0u);
+  }
+}
+
 // ----------------------------------------------------- FaultEnv mechanics
 
 TEST(ChaosTest, FaultPlansAreDeterministicAndSingleShot) {
@@ -651,6 +786,7 @@ TEST(ChaosTest, ReadFaultSurfacesAsIoErrorNamingTheFile) {
   const Status st = reader.status();
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_NE(st.message().find(path), std::string::npos) << st.ToString();
+  EXPECT_EQ(st.path(), path);
   EXPECT_TRUE(env.fault_fired());
 }
 
@@ -680,6 +816,7 @@ TEST(ChaosTest, BitFlipIsSilentOnWriteAndCaughtByChecksum) {
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_NE(st.message().find("CRC"), std::string::npos) << st.ToString();
   EXPECT_NE(st.message().find(path), std::string::npos) << st.ToString();
+  EXPECT_EQ(st.path(), path);
 }
 
 TEST(ChaosTest, TableSaveLoadUpholdsTheDichotomy) {

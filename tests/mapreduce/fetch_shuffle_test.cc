@@ -169,7 +169,7 @@ TEST(FetchShuffleTest, OutputAndDataCountersIdenticalAcrossConfigs) {
             << label;
         // Every shuffled byte crossed the transport.
         EXPECT_GT(on.counters.at(kShuffleFetchBytes), 0u) << label;
-        // Both cleanup guards ran: no clone, origin, or socket leftovers.
+        // Job-end cleanup ran: no clone, origin, or socket leftovers.
         EXPECT_EQ(FilesIn(work_dir), 0u) << label;
       }
     }

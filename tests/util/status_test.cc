@@ -60,6 +60,21 @@ TEST(StatusTest, WithContextPrefixesMessage) {
   EXPECT_TRUE(Status().WithContext("ignored").ok());
 }
 
+TEST(StatusTest, PathTravelsWithCopiesAndContextButIsNotPrinted) {
+  const Status s =
+      Status::Corruption("bad sector").WithPath("/work/map-0-a0-000000.run");
+  EXPECT_TRUE(s.IsCorruption());
+  EXPECT_EQ(s.path(), "/work/map-0-a0-000000.run");
+  const Status wrapped = s.WithContext("read run block");
+  EXPECT_EQ(wrapped.path(), s.path());
+  EXPECT_EQ(wrapped.ToString(), "Corruption: read run block: bad sector");
+  const Status copy = wrapped;
+  EXPECT_EQ(copy.path(), s.path());
+  EXPECT_TRUE(Status::IOError("no file named").path().empty());
+  EXPECT_TRUE(Status().WithPath("ignored").ok());
+  EXPECT_TRUE(Status().path().empty());
+}
+
 Status FailingHelper() { return Status::Corruption("bad bytes"); }
 
 Status PropagatingHelper() {
