@@ -6,13 +6,12 @@
 //               [--sigma=5] [--mode=cf|df] [--reducers=8] [--slots=4]
 //               [--sort-buffer-kb=N] [--merge-factor=N] [--shuffle-slots=N]
 //               [--max-task-attempts=N] [--chaos-seed=N]
-//               [--fetch-shuffle] [--fetch-transport=inproc|socket]
-//               [--shuffle-socket=PATH]
+//               [--fetch-shuffle] [--shuffle-socket=PATH]
 //               [--no-splits] [--maximal|--closed] [--verbose]
 //   ngram_tool top <in.ngs> [k]
 //   ngram_tool info <in.ngc>
 //   ngram_tool build-serving <in.ngs> <out_dir> [--shards=N] [--block-kb=N]
-//   ngram_tool serve-shuffle <socket-path>
+//   ngram_tool serve-shuffle <socket-path>   (one job at a time)
 //
 // Every numeric argument must be a plain unsigned decimal that fits its
 // option (cli_numbers.h) — slot counts at most kMaxSlots; anything else,
@@ -54,14 +53,13 @@ int Usage() {
           "             [--slots=N] [--sort-buffer-kb=N] [--merge-factor=N]\n"
           "             [--shuffle-slots=N]\n"
           "             [--max-task-attempts=N] [--chaos-seed=N]\n"
-          "             [--fetch-shuffle] [--fetch-transport=inproc|socket]\n"
-          "             [--shuffle-socket=PATH]\n"
+          "             [--fetch-shuffle] [--shuffle-socket=PATH]\n"
           "             [--no-splits] [--maximal|--closed] [--verbose]\n"
           "  ngram_tool top <in.ngs> [k]\n"
           "  ngram_tool info <in.ngc>\n"
           "  ngram_tool build-serving <in.ngs> <out_dir> [--shards=N]\n"
           "             [--block-kb=N]\n"
-          "  ngram_tool serve-shuffle <socket-path>\n"
+          "  ngram_tool serve-shuffle <socket-path>   (one job at a time)\n"
           "methods: naive, apriori-scan, apriori-index, suffix-sigma\n"
           "--slots and --shuffle-slots: at most %u (a thread each)\n",
           kMaxSlots);
@@ -185,13 +183,6 @@ int CmdStats(const std::vector<std::string>& args) {
       have_chaos_seed = true;
     } else if (args[i] == "--fetch-shuffle") {
       options.fetch_shuffle = true;
-    } else if (ParseFlag(args[i], "fetch-transport", &value)) {
-      options.fetch_shuffle = true;
-      if (value == "socket") {
-        options.fetch_over_sockets = true;
-      } else if (value != "inproc") {
-        return Usage();
-      }
     } else if (ParseFlag(args[i], "shuffle-socket", &value)) {
       // Two-process mode: dial an external `serve-shuffle` server.
       options.fetch_shuffle = true;

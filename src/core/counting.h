@@ -108,12 +108,8 @@ inline mr::JobConfig MakeBaseJobConfig(const NgramJobOptions& options,
   config.job_overhead_ms = options.job_overhead_ms;
   config.work_dir = options.work_dir;
   config.max_task_attempts = options.max_task_attempts;
-  config.task_retry_backoff_ms = options.task_retry_backoff_ms;
   config.io_env = options.io_env;
   config.fetch_shuffle = options.fetch_shuffle;
-  config.shuffle_transport = options.fetch_over_sockets
-                                 ? mr::ShuffleTransport::kUnixSocket
-                                 : mr::ShuffleTransport::kInProc;
   config.shuffle_server_address = options.shuffle_server_address;
   return config;
 }

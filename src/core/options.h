@@ -76,13 +76,9 @@ struct NgramJobOptions {
   /// persisted run corrupt (fetch-failure recovery).
   uint32_t max_task_attempts = 1;
 
-  /// Milliseconds slept before retrying a failed task attempt (linear in
-  /// the attempt number). 0 retries immediately.
-  double task_retry_backoff_ms = 0.0;
-
-  /// I/O environment for every run file and job boundary (not owned;
-  /// nullptr = the stdio default). Chaos tooling passes a FaultEnv here
-  /// (mapreduce/io_env.h) to exercise fault recovery end to end.
+  /// I/O environment for every run file (not owned; nullptr = the stdio
+  /// default). Chaos tooling passes a FaultEnv here (mapreduce/io_env.h)
+  /// to exercise fault recovery end to end.
   mr::IoEnv* io_env = nullptr;
 
   // ------------------------------------------------- MapReduce runtime --
@@ -113,13 +109,9 @@ struct NgramJobOptions {
   /// Output is byte-identical on or off.
   bool fetch_shuffle = false;
 
-  /// Loopback fetch fabric: false = deterministic in-process pipes (the
-  /// default), true = Unix-domain sockets. Ignored when
-  /// shuffle_server_address is set (always sockets).
-  bool fetch_over_sockets = false;
-
   /// Non-empty: dial an external `ngram_tool serve-shuffle` server at
-  /// this Unix-socket path instead of starting a loopback server.
+  /// this Unix-socket path instead of starting a loopback server (which
+  /// runs over in-process pipes).
   std::string shuffle_server_address;
 
   /// Memory budget for reducer-side buffered state (APRIORI-INDEX posting

@@ -10,22 +10,14 @@
 #include <string>
 
 #include "mapreduce/comparator.h"
+#include "mapreduce/io_env.h"
 #include "mapreduce/partitioner.h"
-#include "mapreduce/spill_writer.h"
 
 namespace ngram::net {
 class Transport;
 }  // namespace ngram::net
 
 namespace ngram::mr {
-
-/// Which byte-stream fabric the fetch shuffle runs over.
-enum class ShuffleTransport : uint8_t {
-  /// Deterministic in-process pipes (no sockets). The loopback default.
-  kInProc = 0,
-  /// Unix-domain sockets — the two-process fabric (`serve-shuffle`).
-  kUnixSocket = 1,
-};
 
 struct JobConfig {
   /// Job name, used in logs and metrics.
@@ -44,9 +36,6 @@ struct JobConfig {
 
   /// Map-side sort buffer budget; exceeding it spills a sorted run to disk.
   size_t sort_buffer_bytes = 64ULL << 20;
-
-  /// Size of the streaming spill write buffer (per spilling map task).
-  size_t spill_buffer_bytes = SpillWriter::kDefaultBufferBytes;
 
   /// Maximum merge fan-in (Hadoop's `io.sort.factor`). Bounds how many
   /// runs are opened simultaneously anywhere in the pipeline:
@@ -112,17 +101,10 @@ struct JobConfig {
   /// discovered downstream is unrecoverable and fails the job.
   uint32_t max_task_attempts = 1;
 
-  /// Milliseconds slept before retrying a failed task attempt, scaled
-  /// linearly by the attempt number (attempt k waits k * backoff).
-  /// Models Hadoop's retry backoff; zero (the default) retries
-  /// immediately, which is right for the in-process runtime's
-  /// deterministic tests.
-  double task_retry_backoff_ms = 0.0;
-
-  /// I/O environment every run file, intermediate merge output, and
-  /// job-boundary table of this job goes through. nullptr (production)
-  /// means IoEnv::Default(), the stdio passthrough; tests pass a FaultEnv
-  /// to inject read/write/sync/rename faults (io_env.h). Not owned.
+  /// I/O environment every run file and intermediate merge output of
+  /// this job goes through. nullptr (production) means IoEnv::Default(),
+  /// the stdio passthrough; tests pass a FaultEnv to inject
+  /// read/write/sync/rename faults (io_env.h). Not owned.
   IoEnv* io_env = nullptr;
 
   /// Fetch shuffle (docs/architecture.md section 10). Off (default):
@@ -131,7 +113,8 @@ struct JobConfig {
   /// MapOutputServer and *fetched* back over a byte stream into local
   /// clone run files, which the job's one MapOutputRegistry holds and the
   /// reduce side plans over — the Hadoop/YTsaurus placement model, where
-  /// every shuffled byte crosses a transport. Clones are byte-identical
+  /// every shuffled byte crosses a transport. A task's origin runs are
+  /// unlinked as soon as its clones commit. Clones are byte-identical
   /// to their sources with identical segment extents, so job output and
   /// data counters are byte-identical on or off for every merge factor
   /// and slot count; spill/fetch accounting counters differ (final
@@ -141,15 +124,11 @@ struct JobConfig {
   /// bounds both), consuming no reduce attempt.
   bool fetch_shuffle = false;
 
-  /// Fabric the fetch shuffle uses when the job starts its own loopback
-  /// server (ignored when `shuffle_server_address` is set, which always
-  /// dials Unix sockets).
-  ShuffleTransport shuffle_transport = ShuffleTransport::kInProc;
-
   /// Non-empty: dial an external `ngram_tool serve-shuffle` server at
-  /// this Unix-socket path instead of starting a loopback server — the
-  /// two-process mode. Run files are shared through the filesystem (same
-  /// host), bytes move over the socket.
+  /// this Unix-socket path instead of starting a loopback server (which
+  /// runs over in-process pipes) — the two-process mode. Run files are
+  /// shared through the filesystem (same host), bytes move over the
+  /// socket.
   std::string shuffle_server_address;
 
   /// Test seam: run the fetch shuffle over this transport instead of

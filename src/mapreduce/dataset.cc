@@ -1,39 +1,12 @@
 #include "mapreduce/dataset.h"
 
 #include <cassert>
-#include <cstring>
 
 #include "encoding/varint.h"
-#include "mapreduce/runfile.h"
 
 namespace ngram::mr {
 
 namespace {
-
-// Self-describing header of a serialized RecordTable: magic, version, the
-// at-rest format of the record region (always kTableBlockFormat), and the
-// expected record/byte counts. The counts are what make a *cleanly
-// truncated* file detectable: per-block CRCs catch flipped bits, but a
-// file that lost whole trailing blocks (partial copy, disk-full crash)
-// still reads as a valid shorter stream — Load() cross-checks what it
-// decoded against the header.
-constexpr char kTableMagic[4] = {'N', 'G', 'R', 'T'};
-constexpr uint8_t kTableVersion = 1;
-// Format byte naming the block run format (runfile.h), the only one
-// Load() accepts.
-constexpr uint8_t kTableBlockFormat = 1;
-// magic[4] version format pad[2] num_records[8] byte_size[8].
-constexpr size_t kTableHeaderBytes = 24;
-
-void AppendFixed64(std::string* out, uint64_t v) {
-  PutFixed32(out, static_cast<uint32_t>(v & 0xffffffffu));
-  PutFixed32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint64_t DecodeFixed64At(const char* p) {
-  return static_cast<uint64_t>(DecodeFixed32(p)) |
-         (static_cast<uint64_t>(DecodeFixed32(p + 4)) << 32);
-}
 
 /// Zero-copy reader over a contiguous record range of a RecordTable.
 /// Chunk bytes are stable while the table is being read, so key/value
@@ -182,79 +155,6 @@ std::unique_ptr<RecordReader> RecordTable::NewReader() const {
 
 std::unique_ptr<RecordReader> RecordTable::NewReader(const View& view) const {
   return std::make_unique<RecordTableReader>(&chunks_, view);
-}
-
-Status RecordTable::Save(const std::string& path, IoEnv* env) const {
-  RunWriterOptions options;
-  options.env = env;
-  options.preamble.assign(kTableMagic, sizeof(kTableMagic));
-  options.preamble.push_back(static_cast<char>(kTableVersion));
-  options.preamble.push_back(static_cast<char>(kTableBlockFormat));
-  options.preamble.append(2, '\0');
-  AppendFixed64(&options.preamble, num_records_);
-  AppendFixed64(&options.preamble, byte_size_);
-  RunWriter writer(path, options);
-  NGRAM_RETURN_NOT_OK(writer.Open());
-  auto reader = NewReader();
-  while (reader->Next()) {
-    NGRAM_RETURN_NOT_OK(writer.Append(reader->key(), reader->value()));
-  }
-  NGRAM_RETURN_NOT_OK(reader->status());
-  return writer.Close();  // Failure unlinks the partial file.
-}
-
-Status RecordTable::Load(const std::string& path, RecordTable* table,
-                         IoEnv* env) {
-  env = ResolveEnv(env);
-  uint64_t file_size = 0;
-  NGRAM_RETURN_NOT_OK(
-      env->FileSize(path, &file_size).WithContext("load table"));
-  if (file_size < kTableHeaderBytes) {
-    return Status::Corruption("table file " + path + " shorter than header");
-  }
-  char header[kTableHeaderBytes];
-  {
-    std::unique_ptr<ReadableFile> f;
-    NGRAM_RETURN_NOT_OK(
-        env->NewReadableFile(path, 0, &f).WithContext("load table"));
-    size_t got = 0;
-    NGRAM_RETURN_NOT_OK(f->Read(header, sizeof(header), &got)
-                            .WithContext("read table header"));
-    if (got != sizeof(header)) {
-      return Status::Corruption("truncated table header reading " + path);
-    }
-  }
-  if (memcmp(header, kTableMagic, sizeof(kTableMagic)) != 0) {
-    return Status::Corruption("bad table magic in " + path);
-  }
-  if (static_cast<uint8_t>(header[4]) != kTableVersion) {
-    return Status::Corruption("unsupported table version in " + path);
-  }
-  if (static_cast<uint8_t>(header[5]) != kTableBlockFormat) {
-    return Status::Corruption("unsupported table format byte in " + path);
-  }
-  const uint64_t expected_records = DecodeFixed64At(header + 8);
-  const uint64_t expected_bytes = DecodeFixed64At(header + 16);
-
-  table->Clear();
-  FileRecordReader reader(path, kTableHeaderBytes,
-                          file_size - kTableHeaderBytes,
-                          FileRecordReader::kDefaultBufferBytes, env);
-  while (reader.Next()) {
-    table->Append(reader.key(), reader.value());
-  }
-  NGRAM_RETURN_NOT_OK(reader.status());
-  if (table->num_records() != expected_records ||
-      table->byte_size() != expected_bytes) {
-    // Structurally valid but shorter (or longer) than what Save() wrote:
-    // whole trailing blocks/records were dropped or appended.
-    return Status::Corruption(
-        "table " + path + " holds " + std::to_string(table->num_records()) +
-        " records / " + std::to_string(table->byte_size()) +
-        " bytes, header promises " + std::to_string(expected_records) +
-        " / " + std::to_string(expected_bytes));
-  }
-  return Status::OK();
 }
 
 }  // namespace ngram::mr

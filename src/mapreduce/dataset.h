@@ -109,21 +109,6 @@ class RecordTable {
   std::unique_ptr<RecordReader> NewReader() const;
   std::unique_ptr<RecordReader> NewReader(const View& view) const;
 
-  /// Serializes the table to `path` behind a self-describing header
-  /// carrying the record/byte counts. Records are stored in the block run
-  /// format (runfile.h) whose per-block CRC-32s make the boundary file
-  /// tamper-evident: Load() surfaces any flipped byte as Corruption, and
-  /// the header counts additionally catch clean truncation (whole
-  /// trailing blocks lost to a partial copy). I/O goes through `env`
-  /// (nullptr means IoEnv::Default()).
-  Status Save(const std::string& path, IoEnv* env = nullptr) const;
-
-  /// Loads a table serialized by Save(), replacing `*table`'s contents.
-  /// A header naming any at-rest format other than the block format is
-  /// Corruption.
-  static Status Load(const std::string& path, RecordTable* table,
-                     IoEnv* env = nullptr);
-
  private:
   friend class RecordTableReader;
 

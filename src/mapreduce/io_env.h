@@ -1,9 +1,9 @@
 // Env-style I/O indirection for every persisted byte path of the runtime.
 //
-// All file I/O performed by the shuffle and job-boundary machinery —
-// SpillWriter (and therefore RunWriter), FileRecordReader, and
-// RecordTable::Save/Load — routes through an IoEnv: open-for-read,
-// open-for-write, read, write, sync, rename, unlink, file-size.
+// All file I/O performed by the shuffle machinery — SpillWriter (and
+// therefore RunWriter) and FileRecordReader — routes through an IoEnv:
+// open-for-read, open-for-write, read, write, sync, rename, unlink,
+// file-size.
 // Production uses the stdio passthrough singleton (IoEnv::Default());
 // tests and chaos harnesses substitute a FaultEnv that executes a
 // deterministic, seed-derived FaultPlan (EIO on the Nth read, ENOSPC /

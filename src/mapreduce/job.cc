@@ -3,12 +3,10 @@
 #include "mapreduce/job.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -87,7 +85,6 @@ class JobDriver {
       options.merge_factor = config_.merge_factor;
       options.comparator = config_.sort_comparator;
       options.work_dir = work_dir_;
-      options.spill_buffer_bytes = config_.spill_buffer_bytes;
       options.env = io_env_;
       shuffle_ = std::make_unique<EarlyShuffleService>(options, &outputs_,
                                                        &counters_);
@@ -95,10 +92,8 @@ class JobDriver {
     Status st = RunTasks(
         num_map_tasks_, config_.map_slots, "map task", [this](uint32_t t) {
           std::vector<SpillRun> runs;
-          std::vector<SpillRun> served;
-          Status s = RunMapTask(t, /*attempt_base=*/0, &counters_, &runs,
-                                &served);
-          outputs_.Commit(t, std::move(runs), std::move(served));
+          Status s = RunMapTask(t, /*attempt_base=*/0, &counters_, &runs);
+          outputs_.Commit(t, std::move(runs));
           if (s.ok() && shuffle_ != nullptr) {
             shuffle_->NotifyMapTaskCommitted(t);
           }
@@ -148,19 +143,15 @@ class JobDriver {
     return Status::OK();
   }
 
-  /// Fetch shuffle (docs/architecture.md section 10). Origins stay until
-  /// job end beside their clones: ~2x the shuffle bytes on disk, the
-  /// price a cluster pays in transfer, paid here in work_dir space.
+  /// Fetch shuffle (docs/architecture.md section 10).
   Status StartFetchShuffle() {
     std::string server_address = config_.shuffle_server_address;
     const bool external_server = !server_address.empty();
     net::Transport* transport = config_.shuffle_transport_override;
-    bool owns_socket = false;
     if (transport == nullptr) {
-      // An external server (`ngram_tool serve-shuffle`) is a Unix socket.
-      owns_socket = external_server ||
-                    config_.shuffle_transport == ShuffleTransport::kUnixSocket;
-      if (owns_socket) {
+      // An external server (`ngram_tool serve-shuffle`) is a Unix socket;
+      // a loopback one runs over in-process pipes.
+      if (external_server) {
         owned_transport_ = std::make_unique<net::SocketTransport>();
       } else {
         owned_transport_ = std::make_unique<net::InProcTransport>();
@@ -168,7 +159,7 @@ class JobDriver {
       transport = owned_transport_.get();
     }
     if (!external_server) {  // Loopback: the job serves its own runs.
-      server_address = owns_socket ? work_dir_ + "/shuffle.sock" : "loopback";
+      server_address = "loopback";
       net::MapOutputServer::Options server_options;
       server_options.transport = transport;
       server_options.address = server_address;
@@ -184,7 +175,6 @@ class JobDriver {
     fetcher_options.transport = transport;
     fetcher_options.server_address = server_address;
     fetcher_options.work_dir = work_dir_;
-    fetcher_options.buffer_bytes = config_.spill_buffer_bytes;
     fetcher_options.env = io_env_;
     fetcher_ = std::make_unique<net::ShuffleFetcher>(fetcher_options);
     return Status::OK();
@@ -197,7 +187,6 @@ class JobDriver {
     options.merge_factor = config_.merge_factor;
     options.work_dir = work_dir_;
     options.name_prefix = std::move(name_prefix);
-    options.spill_buffer_bytes = config_.spill_buffer_bytes;
     options.counters = tc;
     options.env = io_env_;
     return options;
@@ -205,20 +194,20 @@ class JobDriver {
 
   /// Runs one execution of map task `t`, retries included, with attempt
   /// ids from `attempt_base` on (a re-execution's are new), counting into
-  /// `sink`. On success `*runs`/`*served` are as for Commit; on failure
-  /// both are empty and every attempt's files are gone.
+  /// `sink`. On success `*runs` is what the reduce side reads; on failure
+  /// it is empty and every attempt's files are gone.
   Status RunMapTask(uint32_t t, uint32_t attempt_base, Counters* sink,
-                    std::vector<SpillRun>* runs,
-                    std::vector<SpillRun>* served) {
+                    std::vector<SpillRun>* runs) {
     // Fetch mode only serves what the task writes; its clones go to runs.
+    std::vector<SpillRun> origins;
     std::vector<SpillRun>* const written =
-        fetcher_ != nullptr ? served : runs;
+        fetcher_ != nullptr ? &origins : runs;
     Status st;
     for (uint32_t attempt = 0; attempt < max_attempts_; ++attempt) {
       const uint32_t attempt_id = attempt_base + attempt;
       // Each attempt starts from scratch, under run names of its own.
       runs->clear();
-      served->clear();
+      origins.clear();
       TaskCounters tc(sink);
       const std::string name_prefix =
           "map-" + std::to_string(t) + "-a" + std::to_string(attempt_id);
@@ -229,7 +218,6 @@ class JobDriver {
       opts.combiner = combiner_;
       opts.work_dir = work_dir_;
       opts.spill_name_prefix = name_prefix;
-      opts.spill_buffer_bytes = config_.spill_buffer_bytes;
       // Served runs must be file-backed (the record stream is the same).
       opts.persist_final_flush = fetcher_ != nullptr;
       opts.env = io_env_;
@@ -254,7 +242,12 @@ class JobDriver {
       // cleans its clones; the execution count is the published generation.
       if (st.ok() && fetcher_ != nullptr) {
         st = fetcher_->Mirror(t, attempt_base / max_attempts_, attempt_id,
-                              *written, runs, &tc);
+                              origins, runs, &tc);
+        if (st.ok()) {
+          // Nothing reads an origin once its clones are committed: a
+          // re-execution writes and publishes fresh ones.
+          RemoveRunFiles(origins, io_env_);
+        }
       }
       if (st.ok()) {
         break;
@@ -267,7 +260,6 @@ class JobDriver {
         NGRAM_LOG_WARN << config_.name << " map task " << t << " attempt "
                        << attempt_id << " failed: " << st.ToString()
                        << "; retrying";
-        RetryBackoff(attempt + 1);
       }
     }
     return st;
@@ -286,8 +278,7 @@ class JobDriver {
     }
     Counters scratch;  // The first execution already counted this data.
     std::vector<SpillRun> runs;
-    std::vector<SpillRun> served;
-    const Status st = RunMapTask(t, attempt_base, &scratch, &runs, &served);
+    const Status st = RunMapTask(t, attempt_base, &scratch, &runs);
     const bool replaced = st.ok();
     if (replaced) {
       counters_.Increment(kMapReexecutions);
@@ -298,7 +289,7 @@ class JobDriver {
     }
     // A replacement bumps the generation, so no later plan substitutes an
     // eager intermediate built over the retired one (OutputsFor checks).
-    outputs_.EndRecovery(t, replaced, std::move(runs), std::move(served));
+    outputs_.EndRecovery(t, replaced, std::move(runs));
     return replaced;
   }
 
@@ -393,14 +384,6 @@ class JobDriver {
       NGRAM_LOG_WARN << config_.name << " reduce task " << r << " attempt "
                      << attempt_seq - 1 << " failed: " << st.ToString()
                      << "; retrying";
-      RetryBackoff(failures);
-    }
-  }
-
-  void RetryBackoff(uint32_t failed_attempts) const {
-    if (config_.task_retry_backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          config_.task_retry_backoff_ms * failed_attempts));
     }
   }
 

@@ -75,7 +75,6 @@ Status DrainMerger(KWayMerger* merger, const RawCombineFn& combiner,
 
 RunWriterOptions MergeWriterOptions(const ExternalMergeOptions& options) {
   RunWriterOptions writer_options;
-  writer_options.buffer_bytes = options.spill_buffer_bytes;
   writer_options.env = options.env;
   return writer_options;
 }

@@ -106,7 +106,6 @@ struct ExternalMergeOptions {
   /// Attempt-scoped file-name prefix, e.g. "map-3-a0" / "reduce-2-a1" —
   /// retried attempts never collide with a discarded attempt's files.
   std::string name_prefix;
-  size_t spill_buffer_bytes = SpillWriter::kDefaultBufferBytes;
   /// True for the map-side final merge: pass/byte counters are charged to
   /// the MAP_* phase breakouts instead of REDUCE_*.
   bool map_side = false;

@@ -25,15 +25,6 @@ RunWriter::RunWriter(std::string path, const RunWriterOptions& options)
       file_(std::move(path), FileOptions(options)),
       counter_(options.restart_interval) {}  // First entry restarts.
 
-Status RunWriter::Open() {
-  NGRAM_RETURN_NOT_OK(file_.Open());
-  if (options_.preamble.empty()) {
-    return Status::OK();
-  }
-  return file_.AppendRawBytes(options_.preamble.data(),
-                              options_.preamble.size());
-}
-
 char* RunWriter::Reserve(size_t n) {
   if (block_.size() - block_len_ < n) {
     block_.resize(std::max(block_len_ + n, 2 * block_.size()));

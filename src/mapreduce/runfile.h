@@ -1,7 +1,7 @@
 // Block-structured run files: the one at-rest format for every persisted
 // record stream — spill runs, map-side final merges, reduce-side
-// intermediate passes, eager early-shuffle outputs, fetched clones,
-// serialized job-boundary tables, and serving shards.
+// intermediate passes, eager early-shuffle outputs, fetched clones, and
+// serving shards.
 //
 // In memory, records travel as the `[klen][vlen][key][value]` frames of
 // record.h; on disk they are stored as front-coded blocks. Runs are
@@ -70,10 +70,6 @@ struct RunWriterOptions {
   /// Optional caller-owned write buffer of at least `buffer_bytes` bytes
   /// (see SpillWriter::Options::external_buffer).
   char* external_buffer = nullptr;
-  /// Bytes written verbatim at the start of the file before any block
-  /// (self-describing headers of job-boundary tables). Counted in
-  /// bytes_written(); record extents start at preamble.size().
-  std::string preamble;
   /// Soft payload size at which a block is closed.
   size_t block_bytes = kDefaultBlockBytes;
   /// Entries between restart points.
@@ -100,9 +96,8 @@ class RunWriter final : public RecordSink {
   RunWriter(std::string path, const RunWriterOptions& options);
   NGRAM_DISALLOW_COPY_AND_ASSIGN(RunWriter);
 
-  /// Creates the staged file and writes the preamble. Must be called
-  /// before Append().
-  Status Open();
+  /// Creates the staged file. Must be called before Append().
+  Status Open() { return file_.Open(); }
   /// Appends one record.
   Status Append(Slice key, Slice value) override;
   /// Ends the current block at a segment (partition) boundary so segment

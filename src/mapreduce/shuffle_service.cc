@@ -35,11 +35,9 @@ MapOutputRegistry::Runs MapOutputRegistry::Keep(std::vector<SpillRun> runs) {
   return kept_.back();
 }
 
-void MapOutputRegistry::Commit(uint32_t task, std::vector<SpillRun> runs,
-                               std::vector<SpillRun> served) {
+void MapOutputRegistry::Commit(uint32_t task, std::vector<SpillRun> runs) {
   MutexLock lock(&mu_);
   runs_[task] = Keep(std::move(runs));
-  Keep(std::move(served));
   executions_[task] = 1;
 }
 
@@ -71,8 +69,7 @@ MapOutputRegistry::Recovery MapOutputRegistry::BeginRecovery(
 }
 
 void MapOutputRegistry::EndRecovery(uint32_t task, bool replaced,
-                                    std::vector<SpillRun> runs,
-                                    std::vector<SpillRun> served) {
+                                    std::vector<SpillRun> runs) {
   {
     MutexLock lock(&mu_);
     regenerating_[task] = 0;
@@ -82,7 +79,6 @@ void MapOutputRegistry::EndRecovery(uint32_t task, bool replaced,
       // The corrupt generation stays kept: stale reduce attempts may
       // still hold pointers into it.
       runs_[task] = Keep(std::move(runs));
-      Keep(std::move(served));
       ++generation_[task];
     }
   }
@@ -340,7 +336,6 @@ void EarlyShuffleService::MergeWindow(const Window& window,
   merge_options.comparator = options_.comparator;
   merge_options.merge_factor = static_cast<uint32_t>(factor_);
   merge_options.work_dir = options_.work_dir;
-  merge_options.spill_buffer_bytes = options_.spill_buffer_bytes;
   merge_options.early = true;
   merge_options.counters = tc;
   merge_options.env = options_.env;

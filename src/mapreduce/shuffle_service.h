@@ -50,7 +50,6 @@
 #include "mapreduce/io_env.h"
 #include "mapreduce/merge.h"
 #include "mapreduce/sort_buffer.h"
-#include "mapreduce/spill_writer.h"
 #include "util/macros.h"
 #include "util/mutex.h"
 
@@ -63,7 +62,7 @@ namespace ngram::mr {
 /// they plan over, so re-executing a task never frees run objects a stale
 /// reader still uses. Every generation installed is kept, files too,
 /// until RemoveFiles() at job end. In fetch mode an entry holds the clones
-/// the reduce side reads; the origin runs are kept, only served.
+/// the reduce side reads (the map task unlinks its origins itself).
 class MapOutputRegistry {
  public:
   using Runs = std::shared_ptr<const std::vector<SpillRun>>;
@@ -87,10 +86,9 @@ class MapOutputRegistry {
   NGRAM_DISALLOW_COPY_AND_ASSIGN(MapOutputRegistry);
 
   /// Records task `task`'s first execution: `runs` is what the reduce
-  /// side reads, `served` the fetch-mode origin runs (empty otherwise).
-  /// A failed execution commits empty vectors.
-  void Commit(uint32_t task, std::vector<SpillRun> runs,
-              std::vector<SpillRun> served) NGRAM_EXCLUDES(mu_);
+  /// side reads. A failed execution commits an empty vector.
+  void Commit(uint32_t task, std::vector<SpillRun> runs)
+      NGRAM_EXCLUDES(mu_);
 
   /// The current generations, once no regeneration is in flight (a plan
   /// made mid-regeneration could mix in files about to be retired).
@@ -104,11 +102,11 @@ class MapOutputRegistry {
                          uint32_t max_attempts, uint32_t* attempt_base)
       NGRAM_EXCLUDES(mu_);
 
-  /// Ends a kRun re-execution. With `replaced`, `runs`/`served` (as for
-  /// Commit) become the next generation; a failed re-execution has no
-  /// output. Either way it counts against the budget and waiters wake.
-  void EndRecovery(uint32_t task, bool replaced, std::vector<SpillRun> runs,
-                   std::vector<SpillRun> served) NGRAM_EXCLUDES(mu_);
+  /// Ends a kRun re-execution. With `replaced`, `runs` (as for Commit)
+  /// become the next generation; a failed re-execution has no output.
+  /// Either way it counts against the budget and waiters wake.
+  void EndRecovery(uint32_t task, bool replaced, std::vector<SpillRun> runs)
+      NGRAM_EXCLUDES(mu_);
 
   /// Unlinks every run file the registry ever held. Job end only: no
   /// server, eager worker or task may still read them.
@@ -126,7 +124,7 @@ class MapOutputRegistry {
   std::vector<uint32_t> executions_ NGRAM_GUARDED_BY(mu_);
   std::vector<uint8_t> regenerating_ NGRAM_GUARDED_BY(mu_);
   uint32_t num_regenerating_ NGRAM_GUARDED_BY(mu_) = 0;
-  /// Every generation installed, and the fetch-mode origin runs.
+  /// Every generation installed.
   std::vector<Runs> kept_ NGRAM_GUARDED_BY(mu_);
 };
 
@@ -177,7 +175,6 @@ class EarlyShuffleService {
     uint32_t merge_factor = 16;
     const RawComparator* comparator = BytewiseComparator::Instance();
     std::string work_dir;
-    size_t spill_buffer_bytes = SpillWriter::kDefaultBufferBytes;
     IoEnv* env = nullptr;
   };
 

@@ -335,9 +335,10 @@ Status SortBuffer::WriteRunToFile(SpillRun* run) {
   // the run's front-coded blocks are about the framed size, so small
   // spills get a small buffer (a larger run just flushes it early).
   // The buffer itself is task-owned and reused across this task's spills,
-  // growing (never past spill_buffer_bytes) if a later spill wants more.
-  const size_t want_bytes =
-      std::max<size_t>(1, std::min(options_.spill_buffer_bytes, bytes_used_));
+  // growing (never past the default writer buffer) if a later spill wants
+  // more.
+  const size_t want_bytes = std::max<size_t>(
+      1, std::min(SpillWriter::kDefaultBufferBytes, bytes_used_));
   if (want_bytes > spill_write_buffer_bytes_) {
     spill_write_buffer_ = std::make_unique<char[]>(want_bytes);
     spill_write_buffer_bytes_ = want_bytes;

@@ -128,8 +128,6 @@ class SortBuffer {
     RawCombineFn combiner;        // Optional.
     std::string work_dir;         // Required if spills can happen.
     std::string spill_name_prefix = "spill";
-    /// Size of the streaming spill write buffer.
-    size_t spill_buffer_bytes = SpillWriter::kDefaultBufferBytes;
     /// Force the final flush to disk even when nothing ever spilled
     /// (normally it stays in memory, zero-copy). The fetch shuffle needs
     /// every run file-backed so the MapOutputServer can serve its
@@ -213,7 +211,8 @@ class SortBuffer {
   uint64_t spill_file_seq_ = 0;
   /// One write buffer per task, lent to every RunWriter this buffer
   /// creates — spill-heavy tasks no longer allocate per spill. Grows (up
-  /// to `spill_buffer_bytes`) if a later spill wants a larger buffer.
+  /// to SpillWriter::kDefaultBufferBytes) if a later spill wants a larger
+  /// buffer.
   std::unique_ptr<char[]> spill_write_buffer_;
   size_t spill_write_buffer_bytes_ = 0;
 };

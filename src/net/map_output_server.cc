@@ -3,6 +3,12 @@
 #include <utility>
 
 namespace ngram::net {
+namespace {
+
+/// Read-buffer hint for segment reads (smaller segments get their size).
+constexpr size_t kReadBufferBytes = 256 * 1024;
+
+}  // namespace
 
 MapOutputServer::MapOutputServer(Options options)
     : options_(std::move(options)), env_(mr::ResolveEnv(options_.env)) {}
@@ -129,10 +135,8 @@ Status MapOutputServer::HandleRequest(MessageType type,
         st = Status::Corruption("undecodable publish request");
         break;
       }
-      st = HandlePublish(req);
-      if (st.ok()) {
-        reply_type = MessageType::kPublishOk;
-      }
+      HandlePublish(req);
+      reply_type = MessageType::kPublishOk;
       break;
     }
     case MessageType::kFetchRequest: {
@@ -161,20 +165,11 @@ Status MapOutputServer::HandleRequest(MessageType type,
   return WriteFrame(conn, reply_type, Slice(reply));
 }
 
-Status MapOutputServer::HandlePublish(const PublishRequest& req) {
+void MapOutputServer::HandlePublish(const PublishRequest& req) {
   MutexLock lock(&mu_);
   TaskEntry& entry = tasks_[req.task];
-  if (!entry.runs.empty() || entry.generation > 0) {
-    if (req.generation < entry.generation) {
-      return Status::OutOfRange(
-          "stale publish for task " + std::to_string(req.task) +
-          ": generation " + std::to_string(req.generation) + " < " +
-          std::to_string(entry.generation));
-    }
-  }
   entry.generation = req.generation;
   entry.runs = req.runs;
-  return Status::OK();
 }
 
 Status MapOutputServer::LoadSegment(const FetchRequest& req,
@@ -216,10 +211,9 @@ Status MapOutputServer::LoadSegment(const FetchRequest& req,
                                    std::to_string(seg.length));
   }
   std::unique_ptr<mr::ReadableFile> file;
-  const size_t hint =
-      seg.length < options_.read_buffer_bytes
-          ? static_cast<size_t>(seg.length)
-          : options_.read_buffer_bytes;
+  const size_t hint = seg.length < kReadBufferBytes
+                           ? static_cast<size_t>(seg.length)
+                           : kReadBufferBytes;
   Status st = env_->NewReadableFile(path, hint, &file);
   if (!st.ok()) {
     return st.WithContext("opening published run " + path);

@@ -17,10 +17,13 @@
 // fetched clone byte-for-byte (per-block run CRCs catch it at reduce
 // time, which is exactly the producer re-execution path).
 //
-// Generations: a publish for a task replaces its manifest iff the new
-// generation is >= the stored one; a fetch naming a non-current
+// Generations: every publish for a task replaces its manifest — within
+// one job the driver serializes a task's executions, so generations only
+// grow, and across jobs the newest manifest must win (every job's first
+// execution publishes generation 0). A fetch naming a non-current
 // generation is answered with OutOfRange — a stale fetcher must re-plan,
-// never silently read a retired generation's extents.
+// never silently read a retired generation's extents. Manifests are keyed
+// by map task id alone, so a server serves one job at a time.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +50,6 @@ class MapOutputServer {
     std::string address;
     /// Environment run files are read through; nullptr = IoEnv::Default().
     mr::IoEnv* env = nullptr;
-    /// Read-buffer hint for segment reads.
-    size_t read_buffer_bytes = 256 * 1024;
   };
 
   explicit MapOutputServer(Options options);
@@ -89,7 +90,8 @@ class MapOutputServer {
   /// answered (or the connection is dead and the caller drops it).
   Status HandleRequest(MessageType type, const std::string& payload,
                        Connection* conn) NGRAM_EXCLUDES(mu_);
-  Status HandlePublish(const PublishRequest& req) NGRAM_EXCLUDES(mu_);
+  /// Installs `req` as its task's manifest.
+  void HandlePublish(const PublishRequest& req) NGRAM_EXCLUDES(mu_);
   /// Reads the requested extent into `payload` (the kFetchData bytes).
   Status LoadSegment(const FetchRequest& req, std::string* payload)
       NGRAM_EXCLUDES(mu_);

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "mapreduce/spill_writer.h"
 #include "util/stopwatch.h"
 
 namespace ngram::net {
@@ -103,7 +104,6 @@ Status ShuffleFetcher::Mirror(uint32_t task, uint32_t generation,
                         std::to_string(attempt_id) + "-" +
                         std::to_string(i) + ".run";
       mr::SpillWriter::Options wopts;
-      wopts.buffer_bytes = options_.buffer_bytes;
       wopts.env = options_.env;
       mr::SpillWriter writer(clone.file_path, wopts);
       rst = writer.Open();

@@ -37,7 +37,6 @@
 #include "mapreduce/counters.h"
 #include "mapreduce/io_env.h"
 #include "mapreduce/sort_buffer.h"
-#include "mapreduce/spill_writer.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "util/macros.h"
@@ -53,8 +52,6 @@ class ShuffleFetcher {
     std::string server_address;
     /// Directory clone run files are written into.
     std::string work_dir;
-    /// Spill-writer buffer for clone files.
-    size_t buffer_bytes = mr::SpillWriter::kDefaultBufferBytes;
     /// Extra attempts per failed request (fresh connection each).
     uint32_t request_retries = 2;
     /// Environment clone files are written through.

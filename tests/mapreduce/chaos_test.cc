@@ -26,6 +26,7 @@
 #include "mapreduce/runfile.h"
 #include "net/fault_transport.h"
 #include "net/inproc_transport.h"
+#include "net/map_output_server.h"
 #include "util/temp_dir.h"
 
 namespace ngram::mr {
@@ -691,6 +692,56 @@ TEST(ChaosTest, PathlessCorruptionIsBlamedOnItsProducerOnce) {
   }
 }
 
+/// A shuffle server outlives jobs, and every job's first execution
+/// publishes generation 0. One job's producer re-execution (generation 1
+/// for map task 0) must not keep the next job on the same server from
+/// publishing task 0: the second, fault-free job succeeds with the first
+/// job's output.
+TEST(ChaosTest, ReexecutionDoesNotPoisonASharedServerForTheNextJob) {
+  net::InProcTransport transport;
+  net::MapOutputServer::Options server_options;
+  server_options.transport = &transport;
+  server_options.address = "shared-server";
+  net::MapOutputServer server(server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  JobConfig config = ChaosConfig(/*merge_factor=*/0);
+  config.name = "shared-server";
+  config.max_task_attempts = 2;
+  config.fetch_shuffle = true;
+  config.shuffle_transport_override = &transport;
+  config.shuffle_server_address = server.address();
+  const RecordTable input = ChaosInput();
+  auto run_job = [&](IoEnv* env, const std::string& work_dir,
+                     RecordTable* output) {
+    JobConfig job_config = config;
+    job_config.io_env = env;
+    job_config.work_dir = work_dir;
+    return RunJob<FanOutMapper, IdentityReducer>(
+        job_config, input, [] { return std::make_unique<FanOutMapper>(); },
+        [] { return std::make_unique<IdentityReducer>(); }, output);
+  };
+
+  auto first_dir = TempDir::Create("shared-server-first");
+  ASSERT_TRUE(first_dir.ok());
+  BadSectorEnv env("fetch-0-a0-0.run", /*readers=*/1);
+  RecordTable first_output;
+  const auto first =
+      run_job(&env, first_dir->path().string(), &first_output);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->Counter(kMapReexecutions), 1u);
+
+  auto second_dir = TempDir::Create("shared-server-second");
+  ASSERT_TRUE(second_dir.ok());
+  RecordTable second_output;
+  const auto second =
+      run_job(nullptr, second_dir->path().string(), &second_output);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->Counter(kMapReexecutions), 0u);
+  EXPECT_EQ(TableBytes(second_output), TableBytes(first_output));
+  EXPECT_EQ(FilesIn(second_dir->path().string()), 0u);
+}
+
 // ----------------------------------------------------- FaultEnv mechanics
 
 TEST(ChaosTest, FaultPlansAreDeterministicAndSingleShot) {
@@ -817,60 +868,6 @@ TEST(ChaosTest, BitFlipIsSilentOnWriteAndCaughtByChecksum) {
   EXPECT_NE(st.message().find("CRC"), std::string::npos) << st.ToString();
   EXPECT_NE(st.message().find(path), std::string::npos) << st.ToString();
   EXPECT_EQ(st.path(), path);
-}
-
-TEST(ChaosTest, TableSaveLoadUpholdsTheDichotomy) {
-  MemoryTable<std::string, uint64_t> typed;
-  for (uint64_t i = 0; i < 50; ++i) {
-    typed.Add("key" + std::to_string(i), i);
-  }
-  const RecordTable table = EncodeTable(typed);
-
-  // Write fault: Save fails cleanly, nothing at the path.
-  {
-    auto dir = TempDir::Create("table-write-fault");
-    ASSERT_TRUE(dir.ok());
-    const std::string path = (dir->path() / "table").string();
-    FaultPlan plan;
-    plan.kind = FaultPlan::Kind::kWriteError;
-    plan.op = 1;
-    FaultEnv env(IoEnv::Default(), plan);
-    EXPECT_FALSE(table.Save(path, &env).ok());
-    EXPECT_EQ(FilesIn(dir->path().string()), 0u);
-  }
-  // Silent bit flip during Save: the boundary file's block CRCs surface
-  // it as Corruption at Load — never as wrong records.
-  {
-    auto dir = TempDir::Create("table-flip");
-    ASSERT_TRUE(dir.ok());
-    const std::string path = (dir->path() / "table").string();
-    FaultPlan plan;
-    plan.kind = FaultPlan::Kind::kBitFlip;
-    plan.op = 1;
-    plan.bit = 100;
-    FaultEnv env(IoEnv::Default(), plan);
-    ASSERT_TRUE(table.Save(path, &env).ok());
-    EXPECT_TRUE(env.fault_fired());
-    RecordTable loaded;
-    const Status st = RecordTable::Load(path, &loaded);
-    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-  }
-  // Read fault at Load: clean IOError, and a fault-free retry succeeds
-  // against the intact file.
-  {
-    auto dir = TempDir::Create("table-read-fault");
-    ASSERT_TRUE(dir.ok());
-    const std::string path = (dir->path() / "table").string();
-    ASSERT_TRUE(table.Save(path).ok());
-    FaultPlan plan;
-    plan.kind = FaultPlan::Kind::kReadError;
-    plan.op = 1;
-    FaultEnv env(IoEnv::Default(), plan);
-    RecordTable loaded;
-    EXPECT_FALSE(RecordTable::Load(path, &loaded, &env).ok());
-    ASSERT_TRUE(RecordTable::Load(path, &loaded).ok());
-    EXPECT_EQ(loaded.num_records(), table.num_records());
-  }
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
-// RecordTable and the serialized job boundary: round-trip serialization,
-// byte-balanced splitting, partition splicing, raw-vs-typed mapper
-// equivalence, and a chained two-job pipeline spanning spills.
+// RecordTable, the serialized job boundary: round trips, byte-balanced
+// splitting, partition splicing, raw-vs-typed mapper equivalence, and a
+// chained two-job pipeline spanning spills.
 #include "mapreduce/dataset.h"
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <numeric>
 #include <string>
@@ -14,7 +12,6 @@
 
 #include "encoding/varint.h"
 #include "mapreduce/job.h"
-#include "util/temp_dir.h"
 
 namespace ngram::mr {
 namespace {
@@ -166,148 +163,6 @@ TEST(RecordTableTest, SplitEmptyTable) {
     auto reader = table.NewReader(view);
     EXPECT_FALSE(reader->Next());
   }
-}
-
-// ------------------------------------- serialized job-boundary files --
-
-RecordTable BoundaryTable(int rows) {
-  RecordTable table;
-  for (int i = 0; i < rows; ++i) {
-    table.Append("boundary-key-" + std::to_string(i),
-                 "value-" + std::to_string(i * 7));
-  }
-  return table;
-}
-
-TEST(RecordTableFileTest, SaveLoadRoundTrips) {
-  auto dir = TempDir::Create("table-file");
-  ASSERT_TRUE(dir.ok());
-  const RecordTable table = BoundaryTable(3000);
-  const std::string path = dir->File("boundary.tbl");
-  ASSERT_TRUE(table.Save(path).ok());
-  RecordTable loaded;
-  ASSERT_TRUE(RecordTable::Load(path, &loaded).ok());
-  EXPECT_EQ(loaded.num_records(), table.num_records());
-  EXPECT_EQ(loaded.byte_size(), table.byte_size());
-  EXPECT_EQ(ReadAll(loaded), ReadAll(table));
-  // The block format stores shared key prefixes once: the file, header
-  // included, is smaller than the table's framed records.
-  EXPECT_LT(std::filesystem::file_size(path), table.byte_size());
-}
-
-TEST(RecordTableFileTest, FormatByteOtherThanBlocksIsCorruption) {
-  // Header byte 5 names the at-rest format. Save() writes 1 (the block
-  // format) so existing table files keep loading; any other value —
-  // 0 included — is refused rather than misread.
-  auto dir = TempDir::Create("table-file-format");
-  ASSERT_TRUE(dir.ok());
-  const RecordTable table = BoundaryTable(100);
-  const std::string path = dir->File("boundary.tbl");
-  ASSERT_TRUE(table.Save(path).ok());
-  for (const char format : {'\0', '\2'}) {
-    {
-      std::fstream file(path,
-                        std::ios::in | std::ios::out | std::ios::binary);
-      file.seekg(5);
-      char byte = 0;
-      file.get(byte);
-      EXPECT_EQ(byte, 1);
-      file.seekp(5);
-      file.put(format);
-    }
-    RecordTable loaded;
-    const Status st = RecordTable::Load(path, &loaded);
-    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-    {
-      std::fstream file(path,
-                        std::ios::in | std::ios::out | std::ios::binary);
-      file.seekp(5);
-      file.put(1);
-    }
-    ASSERT_TRUE(RecordTable::Load(path, &loaded).ok());
-  }
-}
-
-TEST(RecordTableFileTest, EmptyTableRoundTrips) {
-  auto dir = TempDir::Create("table-file-empty");
-  ASSERT_TRUE(dir.ok());
-  const RecordTable table;
-  const std::string path = dir->File("empty.tbl");
-  ASSERT_TRUE(table.Save(path).ok());
-  RecordTable loaded;
-  loaded.Append("stale", "row");  // Load must replace, not append.
-  ASSERT_TRUE(RecordTable::Load(path, &loaded).ok());
-  EXPECT_TRUE(loaded.empty());
-}
-
-TEST(RecordTableFileTest, FlippedByteInBoundaryFileIsCorruption) {
-  auto dir = TempDir::Create("table-file-flip");
-  ASSERT_TRUE(dir.ok());
-  const RecordTable table = BoundaryTable(2000);
-  const std::string path = dir->File("boundary.tbl");
-  ASSERT_TRUE(table.Save(path).ok());
-  const auto size = std::filesystem::file_size(path);
-  {
-    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekg(static_cast<std::streamoff>(size / 2));
-    char byte = 0;
-    file.get(byte);
-    file.seekp(static_cast<std::streamoff>(size / 2));
-    file.put(static_cast<char>(byte ^ 0x10));
-  }
-  RecordTable loaded;
-  Status st = RecordTable::Load(path, &loaded);
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-}
-
-TEST(RecordTableFileTest, CleanBlockBoundaryTruncationIsCorruption) {
-  // Dropping whole trailing blocks leaves a structurally valid, CRC-clean
-  // shorter stream; the header's record/byte counts must catch it.
-  auto dir = TempDir::Create("table-file-trunc");
-  ASSERT_TRUE(dir.ok());
-  const RecordTable table = BoundaryTable(5000);  // Several blocks.
-  const std::string path = dir->File("boundary.tbl");
-  ASSERT_TRUE(table.Save(path).ok());
-
-  // Walk the block chain ([varint len][payload][crc32]) past the 24-byte
-  // header and cut the file after the first block.
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  Slice rest(bytes.data() + 24, bytes.size() - 24);
-  uint64_t block_len = 0;
-  ASSERT_TRUE(GetVarint64(&rest, &block_len));
-  const size_t first_block_end =
-      bytes.size() - rest.size() + static_cast<size_t>(block_len) + 4;
-  ASSERT_LT(first_block_end, bytes.size());  // More than one block.
-  std::error_code ec;
-  std::filesystem::resize_file(path, first_block_end, ec);
-  ASSERT_FALSE(ec);
-
-  RecordTable loaded;
-  Status st = RecordTable::Load(path, &loaded);
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-  EXPECT_NE(st.ToString().find("promises"), std::string::npos)
-      << st.ToString();
-}
-
-TEST(RecordTableFileTest, RejectsForeignFiles) {
-  auto dir = TempDir::Create("table-file-magic");
-  ASSERT_TRUE(dir.ok());
-  const std::string path = dir->File("not-a-table");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "something else entirely";
-  }
-  RecordTable loaded;
-  Status st = RecordTable::Load(path, &loaded);
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
 
 // --------------------------------------------- raw/typed map equivalence --

@@ -390,22 +390,6 @@ TEST(FaultToleranceTest, FailedJobLeavesWorkDirClean) {
   EXPECT_EQ(FilesIn(config.work_dir), 0u);
 }
 
-TEST(FaultToleranceTest, RetryBackoffDelaysFailedAttempts) {
-  // With a backoff configured, a job that retries sleeps between
-  // attempts: total wallclock must cover at least the configured delay.
-  JobConfig config;
-  config.num_map_tasks = 1;
-  config.num_reducers = 1;
-  config.max_task_attempts = 2;
-  config.task_retry_backoff_ms = 30.0;
-  std::map<std::string, uint64_t> counts;
-  auto metrics = RunFlakyCountJob(config, &counts, /*map_fails=*/1,
-                                  /*reduce_fails=*/0);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_EQ(metrics->Counter(kTaskRetries), 1u);
-  EXPECT_GE(metrics->wallclock_ms, 30.0);
-}
-
 TEST(FaultToleranceTest, SkewCounterReportsHeaviestReducer) {
   // All records share one key -> one reducer takes everything.
   MemoryTable<uint64_t, std::string> input;

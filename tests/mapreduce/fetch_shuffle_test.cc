@@ -2,22 +2,27 @@
 // JobConfig::fetch_shuffle on, every shuffled byte crosses a transport
 // into clone run files and the reduce side plans only over the clones —
 // and the job's output and data counters must be byte-identical to the
-// direct-registry run for every merge factor, slot count, and transport.
-// Plus: clean failure when the transport is persistently unreachable, and
-// a concurrency stress shape for the TSan job.
+// direct-registry run for every merge factor, slot count, and server
+// (loopback or external). Plus: origin runs are gone before the reduce
+// side opens a clone, clean failure when the transport is persistently
+// unreachable, and a concurrency stress shape for the TSan job.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/runner.h"
 #include "mapreduce/dataset.h"
 #include "mapreduce/job.h"
 #include "net/inproc_transport.h"
+#include "net/map_output_server.h"
+#include "net/socket_transport.h"
 #include "testing/test_util.h"
 #include "util/temp_dir.h"
 
@@ -135,10 +140,21 @@ size_t FilesIn(const std::string& dir) {
   return n;
 }
 
-/// The identity sweep: fetch on (both transports) vs fetch off across
-/// merge factor x shuffle slots. Output bytes and data counters must
-/// match exactly; fetch mode must actually move bytes over the wire.
+/// The identity sweep: fetch on vs fetch off across merge factor x
+/// shuffle slots, fetch on both through the job's loopback server and
+/// through an external server on Unix sockets, dialled by address (the
+/// two-process form). Output bytes and data counters must match exactly;
+/// fetch mode must actually move bytes over the wire.
 TEST(FetchShuffleTest, OutputAndDataCountersIdenticalAcrossConfigs) {
+  auto sock_dir = TempDir::Create("fetch-sock");
+  ASSERT_TRUE(sock_dir.ok());
+  net::SocketTransport sockets;
+  net::MapOutputServer::Options server_options;
+  server_options.transport = &sockets;
+  server_options.address = (sock_dir->path() / "shuffle.sock").string();
+  net::MapOutputServer server(server_options);
+  ASSERT_TRUE(server.Start().ok());
+
   for (uint32_t merge_factor : {2u, 16u, 0u}) {
     for (uint32_t shuffle_slots : {0u, 2u}) {
       const JobConfig base = FetchConfig(merge_factor, shuffle_slots);
@@ -148,11 +164,12 @@ TEST(FetchShuffleTest, OutputAndDataCountersIdenticalAcrossConfigs) {
       ASSERT_TRUE(off.status.ok()) << off.status.ToString();
       EXPECT_EQ(off.counters.count(kShuffleFetchBytes), 0u);
 
-      for (const ShuffleTransport transport :
-           {ShuffleTransport::kInProc, ShuffleTransport::kUnixSocket}) {
+      for (const bool external : {false, true}) {
         JobConfig fetch = base;
         fetch.fetch_shuffle = true;
-        fetch.shuffle_transport = transport;
+        if (external) {
+          fetch.shuffle_server_address = server.address();
+        }
         auto on_dir = TempDir::Create("fetch-on");
         ASSERT_TRUE(on_dir.ok());
         const std::string work_dir = on_dir->path().string();
@@ -160,8 +177,7 @@ TEST(FetchShuffleTest, OutputAndDataCountersIdenticalAcrossConfigs) {
         const std::string label =
             "merge_factor=" + std::to_string(merge_factor) +
             " shuffle_slots=" + std::to_string(shuffle_slots) +
-            " transport=" +
-            (transport == ShuffleTransport::kInProc ? "inproc" : "socket");
+            " server=" + (external ? "external socket" : "loopback");
         ASSERT_TRUE(on.status.ok()) << label << ": "
                                     << on.status.ToString();
         EXPECT_EQ(on.output_bytes, off.output_bytes) << label;
@@ -169,10 +185,101 @@ TEST(FetchShuffleTest, OutputAndDataCountersIdenticalAcrossConfigs) {
             << label;
         // Every shuffled byte crossed the transport.
         EXPECT_GT(on.counters.at(kShuffleFetchBytes), 0u) << label;
-        // Job-end cleanup ran: no clone, origin, or socket leftovers.
+        // Job-end cleanup ran: no clone or origin leftovers.
         EXPECT_EQ(FilesIn(work_dir), 0u) << label;
       }
     }
+  }
+  EXPECT_GT(server.segments_served(), 0u);
+}
+
+/// Passes everything through to IoEnv::Default(), and counts, when a
+/// fetched clone (`fetch-*`) is first opened for reading, the origin runs
+/// (`map-*`) still in `work_dir`.
+class OriginWatchEnv final : public IoEnv {
+ public:
+  explicit OriginWatchEnv(std::string work_dir)
+      : work_dir_(std::move(work_dir)) {}
+
+  Status NewReadableFile(const std::string& path, size_t buffer_hint,
+                         std::unique_ptr<ReadableFile>* file) override {
+    if (HasPrefix(path, "fetch-")) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!clone_opened_) {
+        clone_opened_ = true;
+        for (const auto& entry :
+             std::filesystem::directory_iterator(work_dir_)) {
+          origins_at_first_clone_ += HasPrefix(entry.path(), "map-") ? 1 : 0;
+        }
+      }
+    }
+    return IoEnv::Default()->NewReadableFile(path, buffer_hint, file);
+  }
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* file) override {
+    return IoEnv::Default()->NewWritableFile(path, file);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return IoEnv::Default()->Rename(from, to);
+  }
+  Status Unlink(const std::string& path) override {
+    return IoEnv::Default()->Unlink(path);
+  }
+  Status FileSize(const std::string& path, uint64_t* size) override {
+    return IoEnv::Default()->FileSize(path, size);
+  }
+
+  bool clone_opened() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return clone_opened_;
+  }
+  uint64_t origins_at_first_clone() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return origins_at_first_clone_;
+  }
+
+ private:
+  static bool HasPrefix(const std::filesystem::path& path,
+                        const char* prefix) {
+    return path.filename().string().rfind(prefix, 0) == 0;
+  }
+
+  const std::string work_dir_;
+  std::mutex mu_;
+  bool clone_opened_ = false;
+  uint64_t origins_at_first_clone_ = 0;
+};
+
+/// Nothing reads an origin run once its clones are committed, so each map
+/// task unlinks its origins then: by the time the reduce side opens its
+/// first clone, none is left. With shuffle_slots = 0 only reduce tasks
+/// open clones, after the map barrier. Loopback and external server.
+TEST(FetchShuffleTest, OriginRunsAreGoneWhenTheReduceSideOpensClones) {
+  net::InProcTransport transport;
+  net::MapOutputServer::Options server_options;
+  server_options.transport = &transport;
+  server_options.address = "external";
+  net::MapOutputServer server(server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  for (const bool external : {false, true}) {
+    SCOPED_TRACE(external ? "external server" : "loopback server");
+    JobConfig config = FetchConfig(/*merge_factor=*/2, /*shuffle_slots=*/0);
+    config.fetch_shuffle = true;
+    if (external) {
+      config.shuffle_transport_override = &transport;
+      config.shuffle_server_address = server.address();
+    }
+    auto dir = TempDir::Create("fetch-origins");
+    ASSERT_TRUE(dir.ok());
+    const std::string work_dir = dir->path().string();
+    OriginWatchEnv env(work_dir);
+    config.io_env = &env;
+    const JobResult result = RunFetchJob(config, work_dir);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    ASSERT_TRUE(env.clone_opened());
+    EXPECT_EQ(env.origins_at_first_clone(), 0u);
+    EXPECT_EQ(FilesIn(work_dir), 0u);
   }
 }
 

@@ -1,5 +1,5 @@
 // MapOutputServer + ShuffleFetcher tests: the publish/fetch protocol over
-// a live server (generation guard, NotFound/OutOfRange/Corruption error
+// a live server (newest manifest wins, NotFound/OutOfRange/Corruption error
 // frames, connection reuse after an error), and Mirror()'s byte-identical
 // clone contract with transient-fault retries and clean failure.
 #include <gtest/gtest.h>
@@ -139,40 +139,31 @@ TEST_F(MapOutputServerTest, PublishAndFetchRoundTrip) {
   EXPECT_GE(server_->connections_accepted(), 1u);
 }
 
-TEST_F(MapOutputServerTest, StalePublishAndStaleFetchAreOutOfRange) {
-  const std::string content = "generation-guard-bytes";
-  WriteRunFile(WorkPath("g.run"), content);
+TEST_F(MapOutputServerTest, EveryPublishReplacesAndStaleFetchIsOutOfRange) {
+  // A server outlives jobs and every job's first execution publishes
+  // generation 0, so the manifest received last wins whatever its
+  // generation: a lower one replaces a re-executed task's manifest.
+  const std::string old_content = "generation-guard-bytes";
+  const std::string new_content = "next-job-run-bytes";
+  WriteRunFile(WorkPath("g.run"), old_content);
+  WriteRunFile(WorkPath("h.run"), new_content);
   auto conn = Dial();
   Publish(conn.get(), 0, /*generation=*/1, WorkPath("g.run"),
-          content.size(), 4);
+          old_content.size(), 4);
+  Publish(conn.get(), 0, /*generation=*/0, WorkPath("h.run"),
+          new_content.size(), 4);
 
-  // Publishing an older generation must not clobber the newer manifest.
-  PublishRequest stale;
-  stale.task = 0;
-  stale.generation = 0;
-  WireRun run;
-  run.path = WorkPath("g.run");
-  run.segments = {{0, content.size(), 1}};
-  stale.runs = {run};
-  std::string payload;
-  EncodePublishRequest(stale, &payload);
+  // A fetch naming the replaced generation is refused.
   MessageType type{};
   std::string response;
-  ASSERT_TRUE(Exchange(conn.get(), MessageType::kPublishRequest, payload,
-                       &type, &response)
-                  .ok());
-  ASSERT_EQ(type, MessageType::kError);
-  EXPECT_EQ(DecodeError(response).code(), StatusCode::kOutOfRange);
-
-  // A fetch naming the retired generation is refused the same way.
-  Fetch(conn.get(), 0, 0, 0, 0, &type, &response);
-  ASSERT_EQ(type, MessageType::kError);
-  EXPECT_EQ(DecodeError(response).code(), StatusCode::kOutOfRange);
-
-  // The current generation still serves — same connection.
   Fetch(conn.get(), 0, 1, 0, 0, &type, &response);
+  ASSERT_EQ(type, MessageType::kError);
+  EXPECT_EQ(DecodeError(response).code(), StatusCode::kOutOfRange);
+
+  // The installed generation serves its own run — same connection.
+  Fetch(conn.get(), 0, 0, 0, 0, &type, &response);
   ASSERT_EQ(type, MessageType::kFetchData);
-  EXPECT_EQ(response, content.substr(0, 4));
+  EXPECT_EQ(response, new_content.substr(0, 4));
 }
 
 TEST_F(MapOutputServerTest, UnknownTaskRunOrPartitionIsNotFound) {
