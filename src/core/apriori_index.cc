@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/counting.h"
-#include "kvstore/spillable.h"
+#include "index/spillable_vector.h"
 #include "util/logging.h"
 #include "util/temp_dir.h"
 
@@ -216,27 +216,28 @@ class IndexJoinMapper final
 };
 
 /// Reducer #2: joins every compatible l-seq/r-seq pair. Buffered values
-/// spill to the KV store past the memory budget.
+/// spill to a block run, through the job's IoEnv, past the memory budget.
 class IndexJoinReducer final
     : public mr::Reducer<TermSequence, TaggedPostings, TermSequence,
                          PostingList> {
  public:
-  IndexJoinReducer(const NgramJobOptions& options, std::string spill_prefix,
-                   uint32_t k)
-      : options_(options), spill_prefix_(std::move(spill_prefix)), k_(k) {}
+  IndexJoinReducer(const NgramJobOptions& options, std::string spill_prefix)
+      : options_(options), spill_prefix_(std::move(spill_prefix)) {}
 
   Status Reduce(const TermSequence& key, Values* values,
                 Context* ctx) override {
     // Separate buffers for the two sides; each holds (k-1)-grams with
-    // posting lists and may exceed memory. Each spills to a directory of
+    // posting lists and may exceed memory. Each spills to a run file of
     // its own, deleted when the buffer goes out of scope.
     const std::string base = spill_prefix_ + "-r" +
                              std::to_string(ctx->reducer_id()) + "-g" +
                              std::to_string(group_seq_++);
-    kv::SpillableVector<TaggedPostings> left(
-        base + "-l", options_.reducer_memory_budget_bytes / 2);
-    kv::SpillableVector<TaggedPostings> right(
-        base + "-r", options_.reducer_memory_budget_bytes / 2);
+    SpillableVector<TaggedPostings> left(
+        base + "-l", options_.reducer_memory_budget_bytes / 2,
+        options_.io_env);
+    SpillableVector<TaggedPostings> right(
+        base + "-r", options_.reducer_memory_budget_bytes / 2,
+        options_.io_env);
 
     TaggedPostings t;
     while (values->Next(&t)) {
@@ -266,7 +267,6 @@ class IndexJoinReducer final
  private:
   const NgramJobOptions options_;
   const std::string spill_prefix_;
-  const uint32_t k_;
   uint64_t group_seq_ = 0;
 };
 
@@ -358,8 +358,8 @@ Result<NgramRun> RunRounds(const CorpusContext& ctx,
     mr::RecordTable output;
     auto metrics = mr::RunJob<IndexJoinMapper, IndexJoinReducer>(
         config, previous, [] { return std::make_unique<IndexJoinMapper>(); },
-        [&options, &spill_prefix, k] {
-          return std::make_unique<IndexJoinReducer>(options, spill_prefix, k);
+        [&options, &spill_prefix] {
+          return std::make_unique<IndexJoinReducer>(options, spill_prefix);
         },
         &output);
     if (!metrics.ok()) {

@@ -15,8 +15,9 @@
 // Mapper #2 emits every frequent (k-1)-gram twice — keyed by its prefix
 // (tagged r-seq) and by its suffix (tagged l-seq) — each carrying its
 // posting list. Reducer #2 joins every compatible (l-seq m, r-seq n) pair
-// positionally to form the k-gram m || last(n). Buffered posting lists
-// migrate to the disk KV store past the reducer memory budget (Section V).
+// positionally to form the k-gram m || last(n). Past the reducer memory
+// budget the buffered posting lists spill to block runs read back through
+// the job's IoEnv (index/spillable_vector.h; Section V).
 //
 // Rounds chain serialized, and each round's output is drained once: every
 // frequent n-gram's key is decoded into the statistics, with its frequency

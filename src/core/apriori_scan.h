@@ -3,7 +3,8 @@
 // constituent (k-1)-grams were frequent in the previous iteration; the
 // dictionary of frequent (k-1)-grams is shipped to every mapper (the
 // paper's distributed-cache replica), kept in a compact SequenceSet that
-// migrates to the disk KV store past its memory budget.
+// past its memory budget moves its keys to a write-only KVStore log and an
+// in-memory key set.
 //
 // Terminates after sigma iterations or when an iteration yields nothing.
 // Per-iteration administrative cost and the repeated full scans are the

@@ -111,15 +111,18 @@ struct NgramJobOptions {
 
   /// Non-empty: dial an external `ngram_tool serve-shuffle` server at
   /// this Unix-socket path instead of starting a loopback server (which
-  /// runs over in-process pipes).
+  /// runs over in-process pipes). Requires fetch_shuffle; the job fails
+  /// with InvalidArgument without it.
   std::string shuffle_server_address;
 
-  /// Memory budget for reducer-side buffered state (APRIORI-INDEX posting
-  /// buffers, APRIORI-SCAN dictionary) before migrating to the disk KV
-  /// store.
+  /// Memory budget for reducer-side buffered state before it spills to
+  /// disk: APRIORI-INDEX's join buffers become block runs
+  /// (index/spillable_vector.h), APRIORI-SCAN's dictionary a write-only
+  /// KVStore log (kvstore/kvstore.h).
   size_t reducer_memory_budget_bytes = 256ULL << 20;
 
-  /// Spill directory (shuffle runs, KV stores). Empty = private temp dir.
+  /// Spill directory (shuffle runs, join-buffer runs, dictionary logs).
+  /// Empty = private temp dir.
   std::string work_dir;
 
   uint32_t sigma_or_max() const {

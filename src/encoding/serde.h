@@ -1,5 +1,5 @@
 // Serde<T>: the (de)serialization trait used for every key and value type
-// that crosses the shuffle or is persisted in the KV store.
+// that crosses the shuffle or is spilled by a reducer's join buffer.
 //
 // Contract: Encode appends the wire form of a value to a string; Decode
 // consumes exactly one complete value from a slice that contains exactly one

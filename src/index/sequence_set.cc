@@ -98,7 +98,7 @@ Status SequenceSet::SpillToStore() {
     if (!GetVarint64(&cursor, &len)) {
       return Status::Corruption("SequenceSet arena corrupt");
     }
-    NGRAM_RETURN_NOT_OK(store_->Put(Slice(cursor.data(), len), Slice()));
+    NGRAM_RETURN_NOT_OK(store_->Put(Slice(cursor.data(), len)));
     cursor.RemovePrefix(len);
   }
   arena_.clear();
@@ -112,7 +112,7 @@ Status SequenceSet::SpillToStore() {
 Status SequenceSet::Insert(Slice encoded) {
   if (store_ != nullptr) {
     if (!store_->Contains(encoded)) {
-      NGRAM_RETURN_NOT_OK(store_->Put(encoded, Slice()));
+      NGRAM_RETURN_NOT_OK(store_->Put(encoded));
       ++size_;
     }
     return Status::OK();

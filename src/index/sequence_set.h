@@ -7,8 +7,9 @@
 // — the paper notes that "to make lookups in the dictionary efficient,
 // significant main memory at cluster nodes is required", and this structure
 // is what keeps that footprint measurable and as small as possible. Past a
-// configurable budget the set migrates to the disk KV store (the paper's
-// Berkeley DB fallback).
+// configurable budget the set migrates to a KVStore (the paper's Berkeley
+// DB fallback): the keys move to a write-only log on disk and an in-memory
+// key set, which answers Contains.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +31,9 @@ class SequenceSet {
     /// Budget for arena + bucket table before spilling to disk. SIZE_MAX
     /// never spills.
     size_t memory_budget_bytes = SIZE_MAX;
-    /// Directory for the spill KV store (required if spilling can happen).
-    /// The spill starts it empty; the set deletes it when destroyed.
+    /// Directory for the spill's dictionary log (required if spilling can
+    /// happen). The spill starts it empty; the set deletes it when
+    /// destroyed.
     std::string spill_dir;
   };
 
@@ -81,7 +83,7 @@ class SequenceSet {
   std::vector<uint8_t> tags_;
   uint64_t size_ = 0;
   uint64_t in_memory_size_ = 0;
-  mutable std::unique_ptr<kv::KVStore> store_;  // Non-null once spilled.
+  std::unique_ptr<kv::KVStore> store_;  // Non-null once spilled.
 };
 
 }  // namespace ngram

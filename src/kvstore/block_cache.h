@@ -1,6 +1,6 @@
-// LRU block cache fronting KV store segment files, in the spirit of the
-// caching layer the paper layers over Berkeley DB ("Most main memory is then
-// used for caching").
+// LRU block cache fronting the serving layer's shard files
+// (serve/sharded_store.h), in the spirit of the caching layer the paper
+// layers over Berkeley DB ("Most main memory is then used for caching").
 #pragma once
 
 #include <atomic>
@@ -16,9 +16,8 @@
 namespace ngram::kv {
 
 /// Allocates a process-unique cache file id. Every file that caches blocks
-/// under a (possibly shared) BlockCache — KV store segments, serving
-/// shards — draws its id here so two subsystems sharing one cache can
-/// never collide on a BlockKey.
+/// under a (possibly shared) BlockCache draws its id here, so stores
+/// sharing one cache can never collide on a BlockKey.
 uint64_t AllocateCacheFileId();
 
 /// Key of a cached block: (file id, block index).

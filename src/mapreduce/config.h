@@ -128,7 +128,8 @@ struct JobConfig {
   /// this Unix-socket path instead of starting a loopback server (which
   /// runs over in-process pipes) — the two-process mode. Run files are
   /// shared through the filesystem (same host), bytes move over the
-  /// socket.
+  /// socket. Requires fetch_shuffle: the job fails with InvalidArgument
+  /// without it.
   std::string shuffle_server_address;
 
   /// Test seam: run the fetch shuffle over this transport instead of

@@ -416,6 +416,13 @@ Result<JobMetrics> internal::RunJobDriver(const JobConfig& config,
                                           const ReduceTaskFn& reduce_task,
                                           RecordTable* output,
                                           const RawCombineFn& combiner) {
+  // Checked before any file is written: an address alone must not
+  // silently run a shared-filesystem shuffle.
+  if (!config.shuffle_server_address.empty() && !config.fetch_shuffle) {
+    return Status::InvalidArgument(config.name +
+                                   ": shuffle_server_address requires "
+                                   "fetch_shuffle, which is off");
+  }
   Stopwatch job_clock;
   JobMetrics metrics;
   metrics.job_name = config.name;

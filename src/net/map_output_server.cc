@@ -1,5 +1,7 @@
 #include "net/map_output_server.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace ngram::net {
@@ -83,16 +85,37 @@ void MapOutputServer::AcceptLoop() {
     if (!st.ok()) {
       return;  // Cancelled (shutdown) or a dead fabric: stop accepting.
     }
+    ReapFinishedConnections();
     auto slot = std::make_unique<ConnSlot>();
     slot->conn = std::move(conn);
-    Connection* raw = slot->conn.get();
+    ConnSlot* raw = slot.get();
     MutexLock lock(&mu_);
     if (stopping_) {
       return;  // Drop the just-accepted connection on the floor.
     }
     ++connections_accepted_;
-    slot->thread = std::thread([this, raw] { ServeConnection(raw); });
+    slot->thread = std::thread([this, raw] {
+      ServeConnection(raw->conn.get());
+      raw->done = true;
+    });
     conns_.push_back(std::move(slot));
+  }
+}
+
+void MapOutputServer::ReapFinishedConnections() {
+  std::vector<std::unique_ptr<ConnSlot>> finished;
+  {
+    MutexLock lock(&mu_);
+    auto live = std::partition(
+        conns_.begin(), conns_.end(),
+        [](const std::unique_ptr<ConnSlot>& slot) { return !slot->done; });
+    std::move(live, conns_.end(), std::back_inserter(finished));
+    conns_.erase(live, conns_.end());
+  }
+  // Outside the lock: a finished thread takes no lock after `done`, so
+  // these joins return at once, and the slots close their connections.
+  for (auto& slot : finished) {
+    slot->thread.join();
   }
 }
 

@@ -26,6 +26,7 @@
 // by map task id alone, so a server serves one job at a time.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -76,15 +77,20 @@ class MapOutputServer {
     uint32_t generation = 0;
     std::vector<WireRun> runs;
   };
-  /// One accepted connection and the thread serving it. Slots accumulate
-  /// until Stop() joins them — bounded by connections over the server's
-  /// lifetime, which the per-Mirror connection discipline keeps small.
+  /// One accepted connection and the thread serving it. The thread sets
+  /// `done` as its last act; the accept loop then joins it and frees the
+  /// slot (closing the connection) before it adds the next one, so a
+  /// long-lived server holds only its live connections plus those that
+  /// finished since the last accept. Stop() aborts and joins the rest.
   struct ConnSlot {
     std::unique_ptr<Connection> conn;
     std::thread thread;
+    std::atomic<bool> done{false};
   };
 
   void AcceptLoop();
+  /// Joins and frees every slot whose thread has finished.
+  void ReapFinishedConnections() NGRAM_EXCLUDES(mu_);
   void ServeConnection(Connection* conn);
   /// Handles one decoded request frame; a returned error was already
   /// answered (or the connection is dead and the caller drops it).

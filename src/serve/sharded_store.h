@@ -40,8 +40,8 @@ namespace ngram::serve {
 /// Tuning knobs for opening a store.
 struct ServingOptions {
   /// Shared block cache; a private cache of `cache_bytes` is created when
-  /// null. Sharing one cache across stores (and with KV stores) is safe —
-  /// cache file ids are process-unique.
+  /// null. Sharing one cache across stores is safe — cache file ids are
+  /// process-unique.
   std::shared_ptr<kv::BlockCache> cache;
   /// Capacity of the private cache when `cache` is null; 0 disables
   /// caching (every query decodes its block from the mapping).

@@ -1,7 +1,7 @@
 // Incremental CRC-32 (zlib polynomial, reflected) shared by every
 // persisted byte path: run-file blocks, serving manifests, wire frames,
-// and KV-store segment records all use this one routine, so a checksum
-// written by any layer can be re-verified with the same call.
+// and the KV dictionary log's records all use this one routine, so a
+// checksum written by any layer can be verified with the same call.
 //
 // Two kernels compute the same function. On x86-64 CPUs with PCLMULQDQ
 // and SSE4.1 (checked once, at the first call), inputs of 64 bytes or

@@ -1,4 +1,4 @@
-// RAII temporary directory for shuffle spill files and KV store segments.
+// RAII temporary directory for shuffle spill files and other job scratch.
 #pragma once
 
 #include <filesystem>

@@ -2,7 +2,10 @@
 // method-specific cost properties the paper derives analytically.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <memory>
+#include <string>
 
 #include "core/apriori_index.h"
 #include "core/apriori_scan.h"
@@ -10,6 +13,7 @@
 #include "core/runner.h"
 #include "core/suffix_sigma.h"
 #include "corpus/running_example.h"
+#include "mapreduce/io_env.h"
 #include "testing/test_util.h"
 #include "util/temp_dir.h"
 
@@ -188,25 +192,128 @@ TEST(AprioriIndexMethodTest, KBoundaryVariantsAgree) {
   }
 }
 
+bool IsJoinSpillRun(const std::string& path) {
+  return std::filesystem::path(path).filename().string().rfind("join-", 0) ==
+         0;
+}
+
+/// Passes everything through to IoEnv::Default(). Counts the APRIORI-INDEX
+/// join-buffer spill runs (`join-*`) created for writing and, when asked
+/// to, fails every read of the first such run opened for reading.
+class JoinSpillEnv final : public mr::IoEnv {
+ public:
+  explicit JoinSpillEnv(bool fail_first_read)
+      : fail_first_read_(fail_first_read) {}
+
+  Status NewReadableFile(const std::string& path, size_t buffer_hint,
+                         std::unique_ptr<mr::ReadableFile>* file) override {
+    NGRAM_RETURN_NOT_OK(
+        mr::IoEnv::Default()->NewReadableFile(path, buffer_hint, file));
+    if (fail_first_read_ && IsJoinSpillRun(path) &&
+        !read_failed_.exchange(true)) {
+      *file = std::make_unique<FailingFile>();
+    }
+    return Status::OK();
+  }
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<mr::WritableFile>* file) override {
+    if (IsJoinSpillRun(path)) {
+      ++join_runs_written_;
+    }
+    return mr::IoEnv::Default()->NewWritableFile(path, file);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return mr::IoEnv::Default()->Rename(from, to);
+  }
+  Status Unlink(const std::string& path) override {
+    return mr::IoEnv::Default()->Unlink(path);
+  }
+  Status FileSize(const std::string& path, uint64_t* size) override {
+    return mr::IoEnv::Default()->FileSize(path, size);
+  }
+
+  uint64_t join_runs_written() const { return join_runs_written_.load(); }
+  bool read_failed() const { return read_failed_.load(); }
+
+ private:
+  class FailingFile final : public mr::ReadableFile {
+   public:
+    Status Read(char*, size_t, size_t* read) override {
+      *read = 0;
+      return Status::IOError("injected read error");
+    }
+    Status Seek(uint64_t) override { return Status::OK(); }
+  };
+
+  const bool fail_first_read_;
+  std::atomic<uint64_t> join_runs_written_{0};
+  std::atomic<bool> read_failed_{false};
+};
+
 TEST(AprioriIndexMethodTest, TinyReducerBudgetSpillsAndStaysCorrect) {
   const Corpus corpus = testing::RandomCorpus(11, 40, 5, 3, 10);
   const CorpusContext ctx = BuildCorpusContext(corpus);
   NgramJobOptions options = TestOptions(Method::kAprioriIndex, 2, 5);
   options.apriori_index_k = 2;
-  options.reducer_memory_budget_bytes = 128;  // Force KV-store spill.
+  options.reducer_memory_budget_bytes = 128;  // Force join-buffer spills.
+  JoinSpillEnv env(/*fail_first_read=*/false);
+  options.io_env = &env;
   auto spilled = RunAprioriIndex(ctx, options);
   ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  EXPECT_GT(env.join_runs_written(), 0u);
+  options.io_env = nullptr;
   options.reducer_memory_budget_bytes = 256 << 20;
   auto in_memory = RunAprioriIndex(ctx, options);
   ASSERT_TRUE(in_memory.ok());
   EXPECT_TRUE(spilled->stats.SameAs(in_memory->stats));
 }
 
+TEST(AprioriIndexMethodTest, JoinSpillFaultRetriesOrFailsCleanly) {
+  // A join-buffer spill run is attempt-private scratch: a failed read of
+  // one costs its reduce task an attempt and re-executes no map task.
+  const Corpus corpus = testing::RandomCorpus(11, 40, 5, 3, 10);
+  const CorpusContext ctx = BuildCorpusContext(corpus);
+  NgramJobOptions options = TestOptions(Method::kAprioriIndex, 2, 5);
+  options.apriori_index_k = 2;
+  auto in_memory = RunAprioriIndex(ctx, options);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+
+  options.reducer_memory_budget_bytes = 128;  // Force join-buffer spills.
+  for (const uint32_t attempts : {2u, 1u}) {
+    SCOPED_TRACE("max_task_attempts " + std::to_string(attempts));
+    auto dir = TempDir::Create("join-spill-fault");
+    ASSERT_TRUE(dir.ok());
+    JoinSpillEnv env(/*fail_first_read=*/true);
+    options.io_env = &env;
+    options.max_task_attempts = attempts;
+    options.work_dir = dir->path().string();
+    auto run = RunAprioriIndex(ctx, options);
+    EXPECT_TRUE(env.read_failed());
+    EXPECT_TRUE(std::filesystem::is_empty(dir->path()));
+    if (attempts == 1) {
+      ASSERT_FALSE(run.ok());
+      EXPECT_TRUE(IsJoinSpillRun(run.status().path()))
+          << run.status().ToString();
+      continue;
+    }
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_TRUE(run->stats.SameAs(in_memory->stats));
+    uint64_t retries = 0;
+    uint64_t reexecutions = 0;
+    for (const auto& job : run->metrics.jobs) {
+      retries += job.Counter(mr::kTaskRetries);
+      reexecutions += job.Counter(mr::kMapReexecutions);
+    }
+    EXPECT_GE(retries, 1u);
+    EXPECT_EQ(reexecutions, 0u);
+  }
+}
+
 TEST(AprioriMethodsTest, RerunInOneWorkDirStartsFreshAndLeavesItEmpty) {
-  // Both APRIORI methods spill reducer-side state (APRIORI-SCAN's
-  // dictionary, APRIORI-INDEX's join buffers) to KV stores under
-  // work_dir. A rerun in the same work_dir must see none of the first
-  // run's stores, and no run may leave its own behind.
+  // Both APRIORI methods spill reducer-side state under work_dir:
+  // APRIORI-SCAN's dictionary to a KVStore log, APRIORI-INDEX's join
+  // buffers to block runs. A rerun in the same work_dir must see none of
+  // the first run's spills, and no run may leave its own behind.
   const Corpus corpus = testing::RandomCorpus(11, 40, 5, 3, 10);
   const CorpusContext ctx = BuildCorpusContext(corpus);
   auto dir = TempDir::Create("apriori-work-dir");
@@ -214,7 +321,7 @@ TEST(AprioriMethodsTest, RerunInOneWorkDirStartsFreshAndLeavesItEmpty) {
   for (Method method : {Method::kAprioriScan, Method::kAprioriIndex}) {
     NgramJobOptions options = TestOptions(method, 2, 5);
     options.apriori_index_k = 2;
-    options.reducer_memory_budget_bytes = 128;  // Force KV-store spill.
+    options.reducer_memory_budget_bytes = 128;  // Force both spills.
     options.work_dir = dir->path().string();
     std::vector<NgramRun> runs;
     for (int i = 0; i < 2; ++i) {

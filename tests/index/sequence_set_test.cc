@@ -124,10 +124,11 @@ TEST(SequenceSetTest, SpillIgnoresAStaleStoreAndDeletesItsOwn) {
   const Slice seven_seven("\x07\x07", 2);  // Encoded <7 7>.
   {
     // A store an earlier owner left under the same name.
-    auto stale = kv::KVStore::Open(spill);
+    auto stale = kv::KVStore::OpenEmpty(spill);
     ASSERT_TRUE(stale.ok());
-    ASSERT_TRUE((*stale)->Put(seven_seven, Slice()).ok());
+    ASSERT_TRUE((*stale)->Put(seven_seven).ok());
   }
+  ASSERT_FALSE(std::filesystem::is_empty(spill));
   {
     SequenceSet::Options options;
     options.memory_budget_bytes = 256;

@@ -324,6 +324,24 @@ TEST(FetchShuffleTest, UnreachableServerFailsCleanly) {
   EXPECT_EQ(FilesIn(work_dir), 0u) << result.status.ToString();
 }
 
+/// A server address requires fetch_shuffle. Alone it fails the job with
+/// InvalidArgument before any file is written: it must not silently run
+/// a shared-filesystem shuffle.
+TEST(FetchShuffleTest, ServerAddressWithoutFetchShuffleIsRejected) {
+  JobConfig config = FetchConfig(/*merge_factor=*/16, /*shuffle_slots=*/0);
+  config.shuffle_server_address = "shuffle.sock";
+  auto dir = TempDir::Create("fetch-address-only");
+  ASSERT_TRUE(dir.ok());
+  const std::string work_dir = dir->path().string();
+  const JobResult result = RunFetchJob(config, work_dir);
+  EXPECT_TRUE(result.status.IsInvalidArgument()) << result.status.ToString();
+  const std::string message = result.status.ToString();
+  EXPECT_NE(message.find("shuffle_server_address"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("fetch_shuffle"), std::string::npos) << message;
+  EXPECT_EQ(FilesIn(work_dir), 0u);
+}
+
 /// The test seam: a caller-owned transport replaces the job-constructed
 /// one (chaos tests decorate it with FaultTransport).
 TEST(FetchShuffleTest, TransportOverrideSeamCarriesTheShuffle) {

@@ -4,11 +4,13 @@
 // clone contract with transient-fault retries and clean failure.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mapreduce/counters.h"
@@ -207,6 +209,47 @@ TEST_F(MapOutputServerTest, TruncatedRunFileIsCorruptionNamingThePath) {
   Fetch(conn.get(), 4, 0, 0, 1, &type, &response);
   ASSERT_EQ(type, MessageType::kFetchData);
   EXPECT_EQ(response, content.substr(2));
+}
+
+size_t OpenFdCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// A finished connection's thread and socket are released when the next
+/// connection is accepted, not only at Stop(): a long-lived server holds
+/// only its live connections.
+TEST_F(MapOutputServerTest, FinishedConnectionsAreReleased) {
+  SocketTransport sockets;
+  MapOutputServer::Options options;
+  options.transport = &sockets;
+  options.address = WorkPath("shuffle.sock");
+  MapOutputServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string run = WorkPath("r.run");
+  WriteRunFile(run, "0123456789");
+  auto round_trip = [&] {
+    std::unique_ptr<Connection> conn;
+    ASSERT_TRUE(sockets.Connect(options.address, &conn).ok());
+    Publish(conn.get(), 1, 0, run, /*total=*/10, /*split=*/4);
+  };  // The client closes its end as `conn` goes.
+
+  const size_t before = OpenFdCount();
+  for (int i = 0; i < 50; ++i) {
+    round_trip();
+  }
+  // Give the serving threads time to see their clients' EOF; the next
+  // accept then reaps them all.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  round_trip();
+  EXPECT_LE(OpenFdCount(), before + 2);
+  EXPECT_EQ(server.connections_accepted(), 51u);
+  server.Stop();
 }
 
 // ---------------------------------------------------------------- Mirror
